@@ -27,6 +27,9 @@ from .maxreg_exact import BoundedMaxRegister
 #: geometric sampling points for growth series
 CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
+#: most threads native mode starts (one per process)
+MAX_NATIVE_THREADS = 64
+
 _OP_INC = ("inc", ())
 _OP_READ = ("read", ())
 
@@ -43,6 +46,8 @@ class BenchConfig:
     mode: str = "simulated"  # "simulated" | "native"
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.total_ops < 1:
             raise ValueError("total_ops must be >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:
@@ -278,6 +283,9 @@ class NativeReport:
 
 def run_native(config: BenchConfig) -> NativeReport:
     """Run the workload over locked cells with one thread per process."""
+    if config.n > MAX_NATIVE_THREADS:
+        raise ValueError(f"native mode runs at most {MAX_NATIVE_THREADS} threads, "
+                         f"not n={config.n}")
     rng = random.Random(config.seed)
     workload = _workload(config, rng)
     memory = NativeMemory()

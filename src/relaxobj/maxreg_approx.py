@@ -65,15 +65,11 @@ class ApproxMaxRegister:
             (v,) = args
             if not isinstance(v, int) or not 1 <= v <= self.m - 1:
                 raise ValueError(f"write value {v!r} outside [1, {self.m - 1}]")
-            return self._write(v)
+            return self.inner._write(floor_log(self.k, v) + 1)
         if op == "read":
             return self._read()
         raise ValueError(f"unknown operation {op!r}")
 
-    def _write(self, v: int):
-        index = floor_log(self.k, v) + 1
-        yield from maxreg_exact._write(self.inner.root, index)
-
     def _read(self):
-        index = yield from maxreg_exact._read(self.inner.root)
+        index = yield from self.inner._read()
         return 0 if index == 0 else self.k ** index

@@ -10,47 +10,20 @@ the switch up always finds the value that justified it; a write for the
 lower half is dominated and abandoned as soon as it sees the switch up.
 Both operations walk one root-to-leaf path, so every operation performs
 at most ceil(log2 M) accesses and is wait-free unconditionally.
+
+The tree is allocated lazily: a node's switch register is created the
+first time an operation reaches the node, and, like every allocation,
+this costs no step.  Memory therefore grows with the paths operations
+have touched, not with M, and capacities up to 2**64 and beyond are
+usable.  Nodes are keyed by heap index (root 1, children 2i and 2i+1)
+and a new switch is published with ``dict.setdefault``, so two threads
+that reach an untouched node at once under native threads share the one
+switch that was published first.
 """
 
 from __future__ import annotations
 
 from . import shmem
-
-
-class _Node:
-    __slots__ = ("capacity", "switch", "left", "right", "depth")
-
-    def __init__(self, memory: shmem.Memory, capacity: int) -> None:
-        self.capacity = capacity
-        if capacity > 1:
-            self.switch = memory.alloc(shmem.REGISTER, 0)
-            self.left = _Node(memory, (capacity + 1) // 2)
-            self.right = _Node(memory, capacity // 2)
-            self.depth = 1 + max(self.left.depth, self.right.depth)
-        else:
-            self.switch = None
-            self.left = None
-            self.right = None
-            self.depth = 0
-
-
-def _write(node: _Node, v: int):
-    if node.capacity == 1:
-        return
-    split = node.left.capacity
-    if v >= split:
-        yield from _write(node.right, v - split)
-        yield ("write", node.switch, 1)
-    elif (yield ("read", node.switch)) == 0:
-        yield from _write(node.left, v)
-
-
-def _read(node: _Node):
-    if node.capacity == 1:
-        return 0
-    if (yield ("read", node.switch)) == 1:
-        return node.left.capacity + (yield from _read(node.right))
-    return (yield from _read(node.left))
 
 
 class BoundedMaxRegister:
@@ -64,15 +37,49 @@ class BoundedMaxRegister:
         if not isinstance(capacity, int) or capacity < 1:
             raise ValueError("capacity must be a positive integer")
         self.capacity = capacity
-        self.root = _Node(memory, capacity)
-        self.depth = self.root.depth  # == ceil(log2 capacity)
+        self.depth = (capacity - 1).bit_length()  # == ceil(log2 capacity)
+        self._memory = memory
+        self._switches: dict[int, shmem.Cell] = {}  # heap index -> switch
 
     def program(self, pid: int, op: str, args: tuple = ()):
         if op == "write":
             (v,) = args
             if not isinstance(v, int) or not 0 <= v < self.capacity:
                 raise ValueError(f"write value {v!r} outside [0, {self.capacity})")
-            return _write(self.root, v)
+            return self._write(v)
         if op == "read":
-            return _read(self.root)
+            return self._read()
         raise ValueError(f"unknown operation {op!r}")
+
+    def _switch(self, node: int) -> shmem.Cell:
+        switch = self._switches.get(node)
+        if switch is None:
+            switch = self._switches.setdefault(
+                node, self._memory.alloc(shmem.REGISTER, 0))
+        return switch
+
+    def _write(self, v: int):
+        # descend without raising anything, then raise bottom-up
+        node, capacity, raises = 1, self.capacity, []
+        while capacity > 1:
+            split = (capacity + 1) // 2
+            switch = self._switch(node)
+            if v >= split:
+                raises.append(switch)
+                node, capacity, v = 2 * node + 1, capacity // 2, v - split
+            elif (yield ("read", switch)) == 0:
+                node, capacity = 2 * node, split
+            else:
+                break
+        for switch in reversed(raises):
+            yield ("write", switch, 1)
+
+    def _read(self):
+        node, capacity, value = 1, self.capacity, 0
+        while capacity > 1:
+            split = (capacity + 1) // 2
+            if (yield ("read", self._switch(node))) == 1:
+                node, capacity, value = 2 * node + 1, capacity // 2, value + split
+            else:
+                node, capacity = 2 * node, split
+        return value

@@ -13,6 +13,8 @@ from relaxobj.maxreg_approx import floor_log
 
 def test_config_validation():
     with pytest.raises(ValueError):
+        BenchConfig(object="counter", n=0)
+    with pytest.raises(ValueError):
         BenchConfig(object="counter", total_ops=0)
     with pytest.raises(ValueError):
         BenchConfig(object="counter", read_fraction=1.5)
@@ -76,6 +78,14 @@ def test_worst_case_tiny_register():
     report = measure_worst_case(config)
     assert report.step_bound == 2
     assert report.max_op_steps <= 2
+
+
+def test_worst_case_exact_register_m_2_64():
+    config = BenchConfig(object="maxreg-exact", n=2, m=2**64, total_ops=1000,
+                         read_fraction=0.5, seed=1)
+    report = measure_worst_case(config)
+    assert report.total_ops == 1001  # plus the forced full-depth read
+    assert report.max_op_steps <= 64
 
 
 def test_csv_and_json_reports():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from relaxobj.bench import MAX_NATIVE_THREADS
 from relaxobj.cli import UsageError, main, parse_workload
 
 
@@ -152,6 +154,23 @@ def test_bench_native_throughput(capsys):
     assert code == 0
     assert doc["total_ops"] == 4000
     assert doc["ops_per_second"] > 0
+
+
+def test_bench_zero_processes_usage_error(capsys):
+    code = main(["bench", "--object", "counter", "--n", "0", "--ops", "10"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_native_thread_cap_usage_error(capsys, monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    code = main(["bench", "--native", "--object", "counter",
+                 "--n", str(MAX_NATIVE_THREADS + 1), "--ops", "10"])
+    assert code == 2
+    assert "at most" in capsys.readouterr().err
 
 
 def test_trace_counter_three_lines(tmp_path):

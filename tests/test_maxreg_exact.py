@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxobj import check, maxreg_exact_spec, run, seeded
+from relaxobj.bench import NativeMemory, drive
 from relaxobj.maxreg_exact import BoundedMaxRegister
 from relaxobj.shmem import Memory
 from support import distinct_histories, solo
@@ -61,9 +64,24 @@ def test_capacity_validation():
 
 
 def test_depth_is_ceil_log2():
-    for capacity, depth in [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (1024, 10)]:
+    for capacity, depth in [(1, 0), (2, 1), (3, 2), (8, 3), (9, 4), (1024, 10),
+                            (2**64, 64)]:
         _, reg = fresh(capacity)
         assert reg.depth == depth
+
+
+def test_construction_allocates_at_most_one_cell():
+    for capacity in (2**20, 2**64):
+        mem, reg = fresh(capacity)
+        assert len(mem.cells) <= 1
+
+
+def test_untouched_read_allocates_only_its_path():
+    for capacity in (1000, 2**20, 2**64):
+        mem, reg = fresh(capacity)
+        assert solo(reg, mem, [("read", ())]) == [0]
+        assert mem.steps == reg.depth
+        assert len(mem.cells) <= reg.depth
 
 
 def test_write_step_bound_m_1024():
@@ -140,8 +158,41 @@ def test_monotone_reads_per_process():
 def test_writes_use_only_reads_and_writes():
     # implementable from historyless read/write alone: no test&set cells
     mem, reg = fresh(64)
-    assert all(c.kind == "register" for c in mem.cells)
     random_ops = [("write", (v,)) for v in random.Random(4).sample(range(64), 10)]
     before = mem.steps
     solo(reg, mem, random_ops + [("read", ())])
     assert mem.steps > before
+    assert len(mem.cells) > 1
+    assert all(c.kind == "register" for c in mem.cells)
+
+
+class _SlowAllocMemory(NativeMemory):
+    """Widens the window in which two threads find the same node untouched."""
+
+    def alloc(self, kind, initial):
+        time.sleep(0.001)
+        return super().alloc(kind, initial)
+
+
+def test_native_threads_share_lazily_allocated_switches():
+    # 7 raises the root's right child, 5 reads it on the way to its left
+    # child; if both threads built their own copy of that node, one copy
+    # would be lost and the final read would return 5
+    for trial in range(50):
+        memory = _SlowAllocMemory()
+        reg = BoundedMaxRegister(memory, 8)
+        barrier = threading.Barrier(2)
+
+        def writer(pid, v):
+            barrier.wait()
+            drive(reg.program(pid, "write", (v,)), memory, pid)
+
+        values = (7, 5) if trial % 2 == 0 else (5, 7)
+        threads = [threading.Thread(target=writer, args=(pid, v))
+                   for pid, v in enumerate(values)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert drive(reg.program(0, "read", ()), memory, 0) == 7

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import shmem
+from .shmem import NativeMemory, drive
 from .counter import ApproxCounter
 from .maxreg_approx import ApproxMaxRegister
 from .maxreg_exact import BoundedMaxRegister
@@ -54,8 +55,13 @@ class BenchConfig:
             raise ValueError("read_fraction must be in [0, 1]")
         if self.object not in ("counter", "maxreg-approx", "maxreg-exact"):
             raise ValueError(f"unknown object {self.object!r}")
-        if self.object.startswith("maxreg") and self.m is None:
-            raise ValueError("max registers need the value bound m")
+        if self.object.startswith("maxreg"):
+            if self.m is None:
+                raise ValueError("max registers need the value bound m")
+            if self.m < 2:
+                raise ValueError(f"m must be >= 2 for {self.object}, not {self.m}")
+        if self.object != "maxreg-exact" and self.k < 2:
+            raise ValueError(f"k must be >= 2 for {self.object}, not {self.k}")
 
     def echo(self) -> str:
         return (f"object={self.object} n={self.n} k={self.k} "
@@ -129,34 +135,42 @@ def _workload(config: BenchConfig, rng: random.Random) -> list[list[tuple]]:
     return ops
 
 
+def factory(obj: str, n: int, k: int, m: int | None):
+    """Builder of the named object over a given memory."""
+    if obj == "counter":
+        return lambda memory: ApproxCounter(memory, n, k)
+    if obj == "maxreg-approx":
+        return lambda memory: ApproxMaxRegister(memory, k, m)
+    return lambda memory: BoundedMaxRegister(memory, m)
+
+
 def _factory(config: BenchConfig):
-    if config.object == "counter":
-        return lambda memory: ApproxCounter(memory, config.n, config.k)
-    if config.object == "maxreg-approx":
-        return lambda memory: ApproxMaxRegister(memory, config.k, config.m)
-    return lambda memory: BoundedMaxRegister(memory, config.m)
+    return factory(config.object, config.n, config.k, config.m)
+
+
+def _checkpoint(runner: shmem.Runner) -> Checkpoint:
+    report = runner.report()
+    return Checkpoint(runner.ops_completed, report.total_steps, report.amortized,
+                      report.max_op_steps())
 
 
 def _measure(config: BenchConfig, workload) -> ComplexityReport:
     memory = shmem.Memory()
     instance = _factory(config)(memory)
     runner = shmem.Runner(memory, instance, workload, record_history=False)
-    rng = random.Random(config.seed + 1)  # scheduling stream
-    marks = [c for c in CHECKPOINTS if c <= config.total_ops]
+    slots = shmem.seeded(config.seed + 1).slots(runner)  # scheduling stream
     checkpoints: list[Checkpoint] = []
-    next_mark = 0
-    running_max = 0
-    while runner.active:
-        runner.step(rng.choice(runner.active))
-        if next_mark < len(marks) and runner.ops_completed >= marks[next_mark]:
-            report = runner.report()
-            checkpoints.append(Checkpoint(runner.ops_completed, report.total_steps,
-                                          report.amortized, report.max_op_steps()))
-            next_mark += 1
-    report = runner.report()
+    for mark in CHECKPOINTS:
+        if mark > config.total_ops:
+            break
+        # one slot may complete enough operations to cross several marks
+        if runner.ops_completed < mark and not runner.advance(slots, until_ops=mark):
+            break
+        checkpoints.append(_checkpoint(runner))
+    runner.advance(slots)
     if not checkpoints or checkpoints[-1].ops != runner.ops_completed:
-        checkpoints.append(Checkpoint(runner.ops_completed, report.total_steps,
-                                      report.amortized, report.max_op_steps()))
+        checkpoints.append(_checkpoint(runner))
+    report = runner.report()
     bound = getattr(instance, "step_bound", None)
     return ComplexityReport(config, checkpoints, report.op_count, report.total_steps,
                             report.amortized, report.max_op_steps(),
@@ -189,61 +203,6 @@ def measure_worst_case(config: BenchConfig) -> ComplexityReport:
 # ---------------------------------------------------------------------------
 # Native mode
 # ---------------------------------------------------------------------------
-
-
-class _NativeCell:
-    __slots__ = ("oid", "kind", "value", "lock")
-
-    def __init__(self, oid: int, kind: str, value: Any) -> None:
-        self.oid = oid
-        self.kind = kind
-        self.value = value
-        self.lock = threading.Lock()
-
-
-class NativeMemory:
-    """Thread-shared substrate: every access runs under the cell's lock.
-
-    Interface-compatible with :class:`relaxobj.shmem.Memory` so the same
-    object factories and step machines run unchanged; performs no step
-    accounting.
-    """
-
-    def __init__(self) -> None:
-        self.cells: list[_NativeCell] = []
-        self._alloc_lock = threading.Lock()
-
-    def alloc(self, kind: str, initial: Any) -> _NativeCell:
-        if kind == shmem.TAS and initial != 0:
-            raise ValueError("test&set bits always start at 0")
-        with self._alloc_lock:
-            cell = _NativeCell(len(self.cells), kind, initial)
-            self.cells.append(cell)
-        return cell
-
-    def access(self, pid: int, cell: _NativeCell, primitive: str, arg: Any = None) -> Any:
-        with cell.lock:
-            if primitive == "read":
-                return cell.value
-            if primitive == "write":
-                cell.value = arg
-                return None
-            if primitive == "tas":
-                prev = cell.value
-                cell.value = 1
-                return prev
-        raise shmem.IllegalAccess(f"unknown primitive {primitive!r}")
-
-
-def drive(gen, memory, pid: int) -> Any:
-    """Run a step machine to completion, performing accesses immediately."""
-    try:
-        request = next(gen)
-        while True:
-            arg = request[2] if len(request) > 2 else None
-            request = gen.send(memory.access(pid, request[1], request[0], arg))
-    except StopIteration as stop:
-        return stop.value
 
 
 def run_sequential(config: BenchConfig) -> list[list[Any]]:

@@ -15,18 +15,10 @@ import random
 import sys
 
 from . import bench, lincheck, shmem
-from .counter import ApproxCounter
-from .maxreg_approx import ApproxMaxRegister, floor_log
-from .maxreg_exact import BoundedMaxRegister
+from .maxreg_approx import floor_log
 
 #: widest value the fixed-width report formats carry
 REPORT_VALUE_LIMIT = 2**64 - 1
-
-_OPS_BY_OBJECT = {
-    "counter": {"inc", "read"},
-    "maxreg-exact": {"write", "read"},
-    "maxreg-approx": {"write", "read"},
-}
 
 
 class UsageError(Exception):
@@ -77,36 +69,26 @@ def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
     return [procs.get(p, []) for p in range(count)]
 
 
-def _object_setup(args, workload_n: int):
-    """Factory and spec for the object named on the command line."""
+def _object_setup(args, workload):
+    """Factory and spec for the object named on the command line.
+
+    Rejects a workload with an operation the object does not support.
+    """
     obj = args.object
     if obj == "counter":
-        n = args.n if args.n is not None else workload_n
-        factory = lambda memory: ApproxCounter(memory, n, args.k)
         spec = lincheck.counter_spec(args.k)
+    elif args.m is None:
+        raise UsageError(f"{obj} needs --m")
     elif obj == "maxreg-exact":
-        if args.m is None:
-            raise UsageError("maxreg-exact needs --m")
-        n = workload_n
-        factory = lambda memory: BoundedMaxRegister(memory, args.m)
         spec = lincheck.maxreg_exact_spec()
-    elif obj == "maxreg-approx":
-        if args.m is None:
-            raise UsageError("maxreg-approx needs --m")
-        n = workload_n
-        factory = lambda memory: ApproxMaxRegister(memory, args.k, args.m)
+    else:
         spec = lincheck.maxreg_approx_spec(args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown object {obj!r}")
-    return factory, spec, n
-
-
-def _validate_ops(args, workload) -> None:
-    allowed = _OPS_BY_OBJECT[args.object]
+    allowed = spec.updates | {"read"}
     for ops in workload:
         for name, _ in ops:
             if name not in allowed:
-                raise UsageError(f"operation {name!r} not supported by {args.object}")
+                raise UsageError(f"operation {name!r} not supported by {obj}")
+    return bench.factory(obj, len(workload), args.k, args.m), spec
 
 
 def _config_echo(args, extra: str = "") -> str:
@@ -129,42 +111,30 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_check(args) -> int:
     workload = parse_workload(args.ops, args.n)
-    _validate_ops(args, workload)
-    factory, spec, n = _object_setup(args, len(workload))
-    counts = {"valid": 0, "invalid": 0, "inconclusive": 0}
-    first_invalid = None
-    histories = 0
+    factory, spec = _object_setup(args, workload)
     if args.exhaustive:
-        seen: set[tuple] = set()
-        for result in shmem.enumerate_interleavings(factory, workload):
-            sig = result.history.signature()
-            if sig in seen:
-                continue
-            seen.add(sig)
-            histories += 1
-            verdict = lincheck.check(result.history, spec, args.budget)
-            counts[verdict.verdict] += 1
-            if verdict.verdict == "invalid" and first_invalid is None:
-                first_invalid = result.history
+        histories = shmem.distinct_histories(factory, workload)
     else:
         seeds = random.Random(args.seed)
-        for _ in range(args.random):
-            schedule = shmem.seeded(seeds.randrange(2**62))
-            result = shmem.run(factory, workload, schedule)
-            histories += 1
-            verdict = lincheck.check(result.history, spec, args.budget)
-            counts[verdict.verdict] += 1
-            if verdict.verdict == "invalid" and first_invalid is None:
-                first_invalid = result.history
+        histories = (shmem.run(factory, workload,
+                               shmem.seeded(seeds.randrange(2**62))).history
+                     for _ in range(args.random))
+    counts = {"valid": 0, "invalid": 0, "inconclusive": 0}
+    first_invalid = None
+    for history in histories:
+        verdict = lincheck.check(history, spec, args.budget).verdict
+        counts[verdict] += 1
+        if verdict == "invalid" and first_invalid is None:
+            first_invalid = history
     mode = "exhaustive" if args.exhaustive else f"random({args.random})"
     report = {
         "config": _config_echo(args, f"mode={mode}"),
-        "histories": histories,
+        "histories": sum(counts.values()),
         "valid": counts["valid"],
         "invalid": counts["invalid"],
         "inconclusive": counts["inconclusive"],
     }
-    if args.object == "counter" and args.k * args.k < n:
+    if args.object == "counter" and args.k * args.k < len(workload):
         report["note"] = ("k*k < n: the accuracy window is not guaranteed "
                           "in this regime")
     if first_invalid is not None:
@@ -184,19 +154,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.object in ("maxreg-approx", "maxreg-exact") and args.m is None:
-        raise UsageError(f"{args.object} needs --m")
-    if args.object == "maxreg-approx":
-        top = args.k ** (floor_log(args.k, args.m - 1) + 1)
-        if top > REPORT_VALUE_LIMIT:
-            raise UsageError(
-                f"overflow guard: largest read value {args.k}^"
-                f"{floor_log(args.k, args.m - 1) + 1} exceeds the 64-bit report "
-                f"format; reduce m")
     config = bench.BenchConfig(
         object=args.object, n=args.n if args.n is not None else 1, k=args.k,
         m=args.m, total_ops=args.ops, read_fraction=args.read_fraction,
         seed=args.seed, mode="native" if args.native else "simulated")
+    if config.object == "maxreg-approx":
+        exponent = floor_log(config.k, config.m - 1) + 1
+        if config.k ** exponent > REPORT_VALUE_LIMIT:
+            raise UsageError(
+                f"overflow guard: largest read value {config.k}^{exponent} exceeds "
+                f"the 64-bit report format; reduce m")
     if args.native:
         report = bench.run_native(config)
         _emit(report.to_json() + "\n", args.out)
@@ -214,8 +181,7 @@ def cmd_bench(args) -> int:
 
 def cmd_trace(args) -> int:
     workload = parse_workload(args.ops, args.n)
-    _validate_ops(args, workload)
-    factory, _, _ = _object_setup(args, len(workload))
+    factory, _ = _object_setup(args, workload)
     result = shmem.run(factory, workload, shmem.seeded(args.seed),
                        record_trace=True)
     lines = [f"# config: {_config_echo(args)}"] if args.header else []

@@ -13,9 +13,11 @@ operation's response.  A request is a tuple:
     ("tas", cell)            -> previous bit value; the bit becomes 1
 
 Exactly one step is charged per executed access; local computation
-between accesses is free.  The scheduler (:class:`Runner`) is the only
-driver, so every access is atomic by construction, and a run is fully
-determined by the workload plus the sequence of scheduled process ids.
+between accesses is free.  Under the scheduler (:class:`Runner`) every
+access is atomic by construction, and a run is fully determined by the
+workload plus the sequence of scheduled process ids.  :func:`drive` runs
+one step machine to completion instead: over :class:`Memory` for
+sequential reference runs, or over :class:`NativeMemory` from threads.
 
 Invocations are eager: at start-up, and whenever an operation completes,
 the owning process immediately invokes its next operations, running any
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator
@@ -104,6 +107,42 @@ class Memory:
             self.trace.append((self.steps, pid, cell.oid, primitive, arg, result))
         self.steps += 1
         return result
+
+
+class NativeMemory(Memory):
+    """Thread-shared memory: each access runs :meth:`Memory.access` under its cell's lock.
+
+    The same object factories and step machines run unchanged, over the
+    same primitives and ``IllegalAccess`` checks.  ``steps`` is not a step
+    count here: threads increment it without a common lock, so
+    increments can be lost.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.locks: list[threading.Lock] = []  # indexed by oid
+        self._alloc_lock = threading.Lock()
+
+    def alloc(self, kind: str, initial: Any) -> Cell:
+        with self._alloc_lock:
+            cell = super().alloc(kind, initial)
+            self.locks.append(threading.Lock())
+        return cell
+
+    def access(self, pid: int, cell: Cell, primitive: str, arg: Any = None) -> Any:
+        with self.locks[cell.oid]:
+            return Memory.access(self, pid, cell, primitive, arg)
+
+
+def drive(gen, memory: Memory, pid: int) -> Any:
+    """Run a step machine to completion, performing accesses immediately."""
+    try:
+        request = next(gen)
+        while True:
+            arg = request[2] if len(request) > 2 else None
+            request = gen.send(memory.access(pid, request[1], request[0], arg))
+    except StopIteration as stop:
+        return stop.value
 
 
 class GrowableBitArray:
@@ -339,6 +378,18 @@ class Runner:
             self._armed[p] = (name, nxt)
         return True
 
+    def advance(self, pids, until_ops: int | None = None) -> bool:
+        """Run one slot per pid; returns True once ``ops_completed >= until_ops``.
+
+        Stops at that slot, so an iterator of pids can resume in a later call.
+        """
+        step = self.step
+        for p in pids:
+            step(p)
+            if until_ops is not None and self.ops_completed >= until_ops:
+                return True
+        return False
+
     @property
     def done(self) -> bool:
         return not self.active
@@ -366,15 +417,29 @@ class Schedule:
     mode: str  # "explicit" | "random"
     pids: tuple[int, ...] = ()
     seed: int | None = None
-    max_slots: int | None = None
+
+    def slots(self, runner: Runner) -> Iterator[int]:
+        """The pid of each slot this schedule runs on ``runner``."""
+        if self.mode == "explicit":
+            for p in self.pids:
+                if not 0 <= p < runner.n:
+                    raise ValueError(f"schedule references undeclared process {p}")
+                yield p
+        elif self.mode == "random":
+            rng = random.Random(self.seed)
+            active = runner.active
+            while active:
+                yield rng.choice(active)
+        else:
+            raise ValueError(f"unknown schedule mode {self.mode!r}")
 
 
 def explicit(pids) -> Schedule:
     return Schedule("explicit", tuple(pids))
 
 
-def seeded(seed: int, max_slots: int | None = None) -> Schedule:
-    return Schedule("random", (), seed, max_slots)
+def seeded(seed: int) -> Schedule:
+    return Schedule("random", (), seed)
 
 
 @dataclass
@@ -404,25 +469,13 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
     memory = Memory(record_trace=record_trace)
     instance = factory(memory)
     runner = Runner(memory, instance, workload, record_history=record_history)
-    if schedule.mode == "explicit":
-        for p in schedule.pids:
-            if not 0 <= p < runner.n:
-                raise ValueError(f"schedule references undeclared process {p}")
-            runner.step(p)
-    elif schedule.mode == "random":
-        rng = random.Random(schedule.seed)
-        cap = schedule.max_slots
-        while runner.active and (cap is None or runner.slots < cap):
-            runner.step(rng.choice(runner.active))
-    else:
-        raise ValueError(f"unknown schedule mode {schedule.mode!r}")
+    runner.advance(schedule.slots(runner))
     return RunResult(runner.history(), runner.report(), memory.trace,
                      memory, instance, runner)
 
 
 def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
-                            step_bound: int | None = None,
-                            record_history: bool = True) -> Iterator[RunResult]:
+                            step_bound: int | None = None) -> Iterator[RunResult]:
     """Yield every distinct maximal interleaving of the workload exactly once.
 
     Interleavings branch on which process performs the next base-object
@@ -430,19 +483,12 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     step count; keep workloads at desk scale.  With ``step_bound`` set,
     exploration stops after that many slots and yields the truncated run.
     """
-
-    def replay(prefix: tuple[int, ...]) -> tuple[Memory, Runner]:
-        memory = Memory()
-        runner = Runner(memory, factory(memory), workload,
-                        record_history=record_history)
-        for p in prefix:
-            runner.step(p)
-        return memory, runner
-
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
-        memory, runner = replay(prefix)
+        memory = Memory()
+        runner = Runner(memory, factory(memory), workload)
+        runner.advance(prefix)
         while True:
             if step_bound is not None and runner.slots >= step_bound:
                 break
@@ -456,6 +502,14 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
             prefix = prefix + (choices[0],)
         yield RunResult(runner.history(), runner.report(), None,
                         memory, runner.instance, runner, schedule=prefix)
+
+
+def distinct_histories(factory: Callable[[Memory], Any], workload) -> list[History]:
+    """The first history seen for each signature over every interleaving, in order."""
+    seen: dict[tuple, History] = {}
+    for result in enumerate_interleavings(factory, workload):
+        seen.setdefault(result.history.signature(), result.history)
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import random
 
-from relaxobj import enumerate_interleavings
-from relaxobj.bench import drive
-from relaxobj.shmem import History, Memory
+from relaxobj.shmem import Memory, drive
 
 
 class SpinInstance:
@@ -27,16 +25,6 @@ class SpinInstance:
 
 def spin_workload(*step_counts):
     return [[("spin", (c,))] for c in step_counts]
-
-
-def distinct_histories(factory, workload) -> list[History]:
-    """Deduplicated histories over every interleaving of the workload."""
-    seen: dict[tuple, History] = {}
-    for result in enumerate_interleavings(factory, workload):
-        sig = result.history.signature()
-        if sig not in seen:
-            seen[sig] = result.history
-    return list(seen.values())
 
 
 def solo(instance, memory: Memory, ops, pid: int = 0):

@@ -25,9 +25,8 @@ from relaxobj.bench import (BenchConfig, drive, measure_amortized,
 from relaxobj.counter import ApproxCounter
 from relaxobj.maxreg_approx import ApproxMaxRegister, floor_log
 from relaxobj.maxreg_exact import BoundedMaxRegister
-from relaxobj.shmem import Memory, Runner
-from support import distinct_histories, random_counter_workload, \
-    random_maxreg_workload, solo
+from relaxobj.shmem import Memory, Runner, distinct_histories
+from support import random_counter_workload, random_maxreg_workload, solo
 
 _shared: dict = {}  # lazily computed inputs reused across criteria
 

@@ -22,6 +22,13 @@ def test_config_validation():
         BenchConfig(object="maxreg-approx", m=None)
     with pytest.raises(ValueError):
         BenchConfig(object="stack")
+    for obj in ("maxreg-approx", "maxreg-exact"):
+        with pytest.raises(ValueError, match="m must be"):
+            BenchConfig(object=obj, m=1)
+    for obj in ("counter", "maxreg-approx"):
+        with pytest.raises(ValueError, match="k must be"):
+            BenchConfig(object=obj, k=1, m=10)
+    BenchConfig(object="maxreg-exact", k=1, m=2)  # k is unused there
 
 
 def test_single_process_inc_read_exact_steps():
@@ -52,6 +59,16 @@ def test_measure_amortized_checkpoints_and_determinism():
     assert a.checkpoints[0].ops >= 1000
     assert sum(a.histogram.values()) == a.total_ops == 5000
     assert a.amortized * a.total_ops == a.total_steps
+
+
+def test_checkpoints_recorded_at_the_slot_that_reaches_them():
+    # the first slot completes 20000 increments, crossing the 10^3 and
+    # 10^4 marks at once; both are recorded after that one step
+    config = BenchConfig(object="counter", n=1, k=20000, total_ops=10**5,
+                         read_fraction=0.0, seed=0)
+    report = measure_amortized(config)
+    assert [(c.ops, c.total_steps) for c in report.checkpoints] == [
+        (20000, 1), (20000, 1), (100000, 9)]
 
 
 def test_measure_amortized_requires_counter():

@@ -147,6 +147,17 @@ def test_bench_just_under_guard(capsys):
     assert doc["max_op_steps"] <= doc["step_bound"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--object", "maxreg-exact", "--m", "1"], "m"),
+    (["--object", "maxreg-approx", "--m", "1"], "m"),
+    (["--object", "maxreg-approx", "--m", "10", "--k", "1"], "k"),
+])
+def test_bench_bad_option_usage_error(argv, name, capsys):
+    code = main(["bench", *argv, "--ops", "10"])
+    assert code == 2
+    assert f"error: {name} must be >= 2" in capsys.readouterr().err
+
+
 def test_bench_native_throughput(capsys):
     code = main(["bench", "--native", "--object", "counter", "--n", "2",
                  "--k", "2", "--ops", "4000", "--seed", "3"])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from relaxobj import check, maxreg_approx_spec
 from relaxobj.maxreg_approx import ApproxMaxRegister, floor_log
-from relaxobj.shmem import Memory
-from support import distinct_histories, solo
+from relaxobj.shmem import Memory, distinct_histories
+from support import solo
 
 
 def fresh(k, m):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from relaxobj import check, maxreg_exact_spec, run, seeded
 from relaxobj.bench import NativeMemory, drive
 from relaxobj.maxreg_exact import BoundedMaxRegister
-from relaxobj.shmem import Memory
-from support import distinct_histories, solo
+from relaxobj.shmem import Memory, distinct_histories
+from support import solo
 
 
 def fresh(capacity):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from relaxobj import shmem
 from relaxobj.shmem import (GrowableBitArray, History, IllegalAccess, Memory,
-                            enumerate_interleavings, explicit, run, seeded,
-                            trace_lines)
+                            NativeMemory, enumerate_interleavings, explicit, run,
+                            seeded, trace_lines)
 from support import SpinInstance, spin_workload
 
 
@@ -45,8 +45,10 @@ def test_access_semantics_and_step_charging():
     assert mem.steps == 6
 
 
-def test_illegal_primitive_kind_combinations():
-    mem = Memory()
+@pytest.mark.parametrize("memory_class", [Memory, NativeMemory],
+                         ids=lambda c: c.__name__)
+def test_illegal_primitive_kind_combinations(memory_class):
+    mem = memory_class()
     bit = mem.alloc("tas", 0)
     reg = mem.alloc("register", 0)
     with pytest.raises(IllegalAccess):
@@ -55,6 +57,12 @@ def test_illegal_primitive_kind_combinations():
         mem.access(0, bit, "write", 1)
     with pytest.raises(IllegalAccess):
         mem.access(0, reg, "frobnicate")
+    with pytest.raises(ValueError):
+        mem.alloc("tas", 1)
+    with pytest.raises(ValueError):
+        mem.alloc("pair", 7)
+    with pytest.raises(ValueError):
+        mem.alloc("bogus", 0)
 
 
 def test_growable_bit_array_grows_in_chunks_without_steps():

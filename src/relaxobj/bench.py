@@ -28,6 +28,9 @@ from .maxreg_exact import BoundedMaxRegister
 #: geometric sampling points for growth series
 CHECKPOINTS = (10**3, 10**4, 10**5, 10**6)
 
+#: most processes a workload may declare; per-process state grows with n
+MAX_PROCESSES = 10**4
+
 #: most threads native mode starts (one per process)
 MAX_NATIVE_THREADS = 64
 
@@ -49,6 +52,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > MAX_PROCESSES:
+            raise ValueError(f"n must be at most {MAX_PROCESSES}, not {self.n}")
         if self.total_ops < 1:
             raise ValueError("total_ops must be >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:

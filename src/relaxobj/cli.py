@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import bench, lincheck, shmem
-from .maxreg_approx import floor_log
+from .maxreg_approx import ApproxMaxRegister
 
 #: widest value the fixed-width report formats carry
 REPORT_VALUE_LIMIT = 2**64 - 1
@@ -63,6 +63,8 @@ def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
     if not procs:
         raise UsageError("empty workload")
     count = n if n is not None else max(procs) + 1
+    if count > bench.MAX_PROCESSES:
+        raise UsageError(f"n must be at most {bench.MAX_PROCESSES}, not {count}")
     for pid in procs:
         if pid >= count:
             raise UsageError(f"workload references p{pid} but only {count} processes declared")
@@ -114,6 +116,8 @@ def cmd_check(args) -> int:
     factory, spec = _object_setup(args, workload)
     if args.exhaustive:
         histories = shmem.distinct_histories(factory, workload)
+    elif args.random < 1:
+        raise UsageError(f"--random must be >= 1, not {args.random}")
     else:
         seeds = random.Random(args.seed)
         histories = (shmem.run(factory, workload,
@@ -159,11 +163,11 @@ def cmd_bench(args) -> int:
         m=args.m, total_ops=args.ops, read_fraction=args.read_fraction,
         seed=args.seed, mode="native" if args.native else "simulated")
     if config.object == "maxreg-approx":
-        exponent = floor_log(config.k, config.m - 1) + 1
-        if config.k ** exponent > REPORT_VALUE_LIMIT:
+        register = ApproxMaxRegister(shmem.Memory(), config.k, config.m)
+        if register.max_read_value() > REPORT_VALUE_LIMIT:
             raise UsageError(
-                f"overflow guard: largest read value {config.k}^{exponent} exceeds "
-                f"the 64-bit report format; reduce m")
+                f"overflow guard: largest read value {config.k}^{register.capacity - 1} "
+                f"exceeds the 64-bit report format; reduce m")
     if args.native:
         report = bench.run_native(config)
         _emit(report.to_json() + "\n", args.out)
@@ -242,10 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, RuntimeError) as err:
+    except (UsageError, ValueError, OSError, RuntimeError) as err:
         # RuntimeError covers thread-spawn failure in native mode
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -102,7 +102,7 @@ class ApproxCounter:
         self.n = n
         self.k = k
         self.accuracy_guaranteed = k * k >= n
-        self.switches = shmem.GrowableBitArray(memory)
+        self.switches = shmem.LazyCells(memory, shmem.TAS)  # the ladder
         self.announce = [memory.alloc(shmem.PAIR, (0, 0)) for _ in range(n)]
         unit_bits = -(-(1 + n * (k - 1)) // (k * k)) - 1
         self.units = [memory.alloc(shmem.TAS, 0) for _ in range(unit_bits)]
@@ -195,14 +195,11 @@ class ApproxCounter:
 
     # inspection helpers (simulator-level, never charge steps)
 
-    def switch_values(self) -> list[int]:
-        return self.switches.values()
-
     def set_indexes(self) -> list[int]:
-        return [i for i, v in enumerate(self.switches.values()) if v]
+        return sorted(i for i, cell in self.switches.cells.items() if cell.value)
 
     def switch_oid_to_index(self) -> dict[int, int]:
-        return self.switches.oid_to_index()
+        return {cell.oid: i for i, cell in self.switches.cells.items()}
 
     def unit_oid_to_index(self) -> dict[int, int]:
         return {cell.oid: j for j, cell in enumerate(self.units)}

@@ -15,10 +15,8 @@ The tree is allocated lazily: a node's switch register is created the
 first time an operation reaches the node, and, like every allocation,
 this costs no step.  Memory therefore grows with the paths operations
 have touched, not with M, and capacities up to 2**64 and beyond are
-usable.  Nodes are keyed by heap index (root 1, children 2i and 2i+1)
-and a new switch is published with ``dict.setdefault``, so two threads
-that reach an untouched node at once under native threads share the one
-switch that was published first.
+usable.  Switches are :class:`shmem.LazyCells` registers keyed by heap
+index (root 1, children 2i and 2i+1).
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ class BoundedMaxRegister:
             raise ValueError("capacity must be a positive integer")
         self.capacity = capacity
         self.depth = (capacity - 1).bit_length()  # == ceil(log2 capacity)
-        self._memory = memory
-        self._switches: dict[int, shmem.Cell] = {}  # heap index -> switch
+        self.switches = shmem.LazyCells(memory, shmem.REGISTER)  # by heap index
 
     def program(self, pid: int, op: str, args: tuple = ()):
         if op == "write":
@@ -51,19 +48,12 @@ class BoundedMaxRegister:
             return self._read()
         raise ValueError(f"unknown operation {op!r}")
 
-    def _switch(self, node: int) -> shmem.Cell:
-        switch = self._switches.get(node)
-        if switch is None:
-            switch = self._switches.setdefault(
-                node, self._memory.alloc(shmem.REGISTER, 0))
-        return switch
-
     def _write(self, v: int):
         # descend without raising anything, then raise bottom-up
         node, capacity, raises = 1, self.capacity, []
         while capacity > 1:
             split = (capacity + 1) // 2
-            switch = self._switch(node)
+            switch = self.switches.cell(node)
             if v >= split:
                 raises.append(switch)
                 node, capacity, v = 2 * node + 1, capacity // 2, v - split
@@ -78,7 +68,7 @@ class BoundedMaxRegister:
         node, capacity, value = 1, self.capacity, 0
         while capacity > 1:
             split = (capacity + 1) // 2
-            if (yield ("read", self._switch(node))) == 1:
+            if (yield ("read", self.switches.cell(node))) == 1:
                 node, capacity, value = 2 * node + 1, capacity // 2, value + split
             else:
                 node, capacity = 2 * node, split

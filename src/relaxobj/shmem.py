@@ -38,9 +38,6 @@ REGISTER = "register"
 TAS = "tas"
 PAIR = "pair"
 
-#: number of bits a GrowableBitArray allocates at a time
-CHUNK = 64
-
 
 class IllegalAccess(ValueError):
     """A primitive was applied to a cell kind that does not support it."""
@@ -145,29 +142,27 @@ def drive(gen, memory: Memory, pid: int) -> Any:
         return stop.value
 
 
-class GrowableBitArray:
-    """Unbounded array of test&set bits, allocated in fixed-size chunks.
+class LazyCells:
+    """Cells of one kind, keyed by integer index, each allocated on first touch.
 
-    Growth is a simulator-level event and never charges a step.
+    ``cells`` maps each touched index to its cell, which starts at 0.
+    Allocation is a simulator-level event and never charges a step, so
+    memory grows with the indexes operations touch, not with the range
+    they could touch.  A new cell is published with ``dict.setdefault``,
+    so two threads that touch the same untouched index at once under
+    native threads share the one cell that was published first.
     """
 
-    def __init__(self, memory: Memory) -> None:
+    def __init__(self, memory: Memory, kind: str) -> None:
         self._memory = memory
-        self.cells: list[Cell] = []
+        self._kind = kind
+        self.cells: dict[int, Cell] = {}
 
     def cell(self, index: int) -> Cell:
-        if index < 0:
-            raise IndexError(index)
-        while index >= len(self.cells):
-            for _ in range(CHUNK):
-                self.cells.append(self._memory.alloc(TAS, 0))
-        return self.cells[index]
-
-    def values(self) -> list[int]:
-        return [c.value for c in self.cells]
-
-    def oid_to_index(self) -> dict[int, int]:
-        return {c.oid: i for i, c in enumerate(self.cells)}
+        cell = self.cells.get(index)
+        if cell is None:
+            cell = self.cells.setdefault(index, self._memory.alloc(self._kind, 0))
+        return cell
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,6 @@ class StepReport:
     """
 
     per_op: list[list[int]]  # [proc][op ordinal] -> steps
-    per_process: list[int]
     total_steps: int
     op_count: int  # operations invoked
 
@@ -317,7 +311,6 @@ class Runner:
         self._armed: list[tuple | None] = [None] * self.n  # (op name, request)
         self.active: list[int] = []  # pids with an armed access, arming order
         self.per_op: list[list[int]] = [[] for _ in range(self.n)]
-        self.per_process = [0] * self.n
         self.events: list[Event] | None = [] if record_history else None
         self.ops_invoked = 0
         self.ops_completed = 0
@@ -365,7 +358,6 @@ class Runner:
         arg = request[2] if len(request) > 2 else None
         result = self.memory.access(p, request[1], request[0], arg)
         self.per_op[p][-1] += 1
-        self.per_process[p] += 1
         try:
             nxt = self._gens[p].send(result)
         except StopIteration as stop:
@@ -401,8 +393,8 @@ class Runner:
         return History(self.events if self.events is not None else [])
 
     def report(self) -> StepReport:
-        return StepReport([list(c) for c in self.per_op], list(self.per_process),
-                          self.memory.steps, self.ops_invoked)
+        return StepReport([list(c) for c in self.per_op], self.memory.steps,
+                          self.ops_invoked)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +523,3 @@ def trace_lines(trace: list[tuple]) -> list[str]:
         f"{step}\t{pid}\t{oid}\t{primitive}\t{_field(arg)}\t{_field(result)}"
         for step, pid, oid, primitive, arg, result in trace
     ]
-
-
-def write_trace(path: str, trace: list[tuple]) -> None:
-    with open(path, "w") as fh:
-        for line in trace_lines(trace):
-            fh.write(line + "\n")

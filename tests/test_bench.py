@@ -6,14 +6,18 @@ import json
 
 import pytest
 
-from relaxobj.bench import (BenchConfig, NativeMemory, measure_amortized,
-                            measure_worst_case, run_native, run_sequential)
+from relaxobj.bench import (MAX_PROCESSES, BenchConfig, NativeMemory,
+                            measure_amortized, measure_worst_case, run_native,
+                            run_sequential)
 from relaxobj.maxreg_approx import floor_log
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(object="counter", n=0)
+    with pytest.raises(ValueError, match="n must be at most"):
+        BenchConfig(object="counter", n=MAX_PROCESSES + 1)
+    BenchConfig(object="counter", n=MAX_PROCESSES)
     with pytest.raises(ValueError):
         BenchConfig(object="counter", total_ops=0)
     with pytest.raises(ValueError):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import threading
+import tracemalloc
 
 import pytest
 
-from relaxobj.bench import MAX_NATIVE_THREADS
+from relaxobj.bench import MAX_NATIVE_THREADS, MAX_PROCESSES
 from relaxobj.cli import UsageError, main, parse_workload
 
 
@@ -88,6 +89,14 @@ def test_check_inconclusive_exit_three(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 3
     assert doc["inconclusive"] == 3
+
+
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_check_random_count_below_one_usage_error(count, capsys):
+    code = main(["check", "--object", "counter", "--ops", "p0:inc",
+                 "--random", count])
+    assert code == 2
+    assert "--random" in capsys.readouterr().err
 
 
 def test_check_malformed_ops_usage_error(capsys):
@@ -182,6 +191,23 @@ def test_bench_native_thread_cap_usage_error(capsys, monkeypatch):
                  "--n", str(MAX_NATIVE_THREADS + 1), "--ops", "10"])
     assert code == 2
     assert "at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--object", "counter", "--n", "1000000", "--ops", "10"],
+    ["check", "--object", "counter", "--n", "1000000000", "--ops", "p0:inc",
+     "--random", "1"],
+])
+def test_process_cap_usage_error(argv, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"n must be at most {MAX_PROCESSES}" in capsys.readouterr().err
+    assert peak < 2**20  # rejected before any per-process list is built
 
 
 def test_trace_counter_three_lines(tmp_path):

@@ -213,6 +213,17 @@ def test_unit_bit_count():
             assert ApproxCounter(mem, n, k).units == []
 
 
+def test_construction_allocates_no_ladder_cell():
+    # n announce cells and J unit bits up front; ladder bits on first touch
+    for n, k, bits in [(1, 2, 0), (4, 2, 1), (16, 4, 3)]:
+        mem = Memory()
+        counter = ApproxCounter(mem, n, k)
+        assert len(mem.cells) == n + bits
+        solo(counter, mem, [INC])
+        assert len(mem.cells) == n + bits + 1
+        assert counter.switch_oid_to_index() == {n + bits: 0}
+
+
 def test_read_rechecks_bit_one_when_units_grow():
     factory = lambda mem: ApproxCounter(mem, 4, 2)
     # p2 claims unit bit 0 after p3's read saw bit 1 unset; the re-read

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxobj import shmem
-from relaxobj.shmem import (GrowableBitArray, History, IllegalAccess, Memory,
-                            NativeMemory, enumerate_interleavings, explicit, run,
-                            seeded, trace_lines)
+from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
+                            enumerate_interleavings, explicit, run, seeded,
+                            trace_lines)
 from support import SpinInstance, spin_workload
 
 
@@ -65,13 +65,15 @@ def test_illegal_primitive_kind_combinations(memory_class):
         mem.alloc("bogus", 0)
 
 
-def test_growable_bit_array_grows_in_chunks_without_steps():
+@pytest.mark.parametrize("kind", [shmem.TAS, shmem.REGISTER])
+def test_lazy_cells_allocate_on_first_touch_without_steps(kind):
     mem = Memory()
-    bits = GrowableBitArray(mem)
-    cell = bits.cell(70)
-    assert len(bits.cells) == 2 * shmem.CHUNK
-    assert cell is bits.cell(70)
-    assert mem.steps == 0  # growth is never a charged step
+    cells = LazyCells(mem, kind)
+    cell = cells.cell(70)
+    assert mem.cells == [cell]  # touching index 70 allocates exactly one cell
+    assert (cell.kind, cell.value) == (kind, 0)
+    assert cell is cells.cell(70)
+    assert mem.steps == 0  # allocation is never a charged step
 
 
 def test_sequential_schedule_completes_both_processes():

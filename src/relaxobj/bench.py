@@ -11,13 +11,15 @@ with real threads and reports throughput only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from . import shmem
 from .shmem import NativeMemory, drive
@@ -126,18 +128,37 @@ class ComplexityReport:
         return "\n".join(lines) + "\n"
 
 
-def _workload(config: BenchConfig, rng: random.Random) -> list[list[tuple]]:
-    """Per-process operation lists; round-robin split of total_ops."""
-    ops: list[list[tuple]] = [[] for _ in range(config.n)]
-    for i in range(config.total_ops):
+def _operations(config: BenchConfig) -> Iterator[tuple]:
+    """The seeded global operation sequence, drawn one operation at a time."""
+    rng = random.Random(config.seed)
+    for _ in range(config.total_ops):
         if rng.random() < config.read_fraction:
-            op = _OP_READ
+            yield _OP_READ
         elif config.object == "counter":
-            op = _OP_INC
+            yield _OP_INC
         else:
-            op = ("write", (rng.randrange(1, config.m),))
-        ops[i % config.n].append(op)
-    return ops
+            yield ("write", (rng.randrange(1, config.m),))
+
+
+def _workload(config: BenchConfig) -> list[Iterator[tuple]]:
+    """One operation stream per process: process p's j-th is global op j*n + p.
+
+    Operations are drawn a round of n at a time, when a process has used
+    up its deque; a deque holds only the operations drawn ahead for it.
+    """
+    ops = _operations(config)
+    queues: list[deque] = [deque() for _ in range(config.n)]
+
+    def stream(queue: deque) -> Iterator[tuple]:
+        while True:
+            while queue:
+                yield queue.popleft()
+            for q, op in zip(queues, ops):  # deal one round: an op to each queue, pid order
+                q.append(op)
+            if not queue:
+                return
+
+    return [stream(queue) for queue in queues]
 
 
 def factory(obj: str, n: int, k: int, m: int | None):
@@ -163,7 +184,7 @@ def _measure(config: BenchConfig, workload) -> ComplexityReport:
     memory = shmem.Memory()
     instance = _factory(config)(memory)
     runner = shmem.Runner(memory, instance, workload, record_history=False)
-    slots = shmem.seeded(config.seed + 1).slots(runner)  # scheduling stream
+    slots = shmem.seeded(config.seed + 1)(runner)  # scheduling stream
     checkpoints: list[Checkpoint] = []
     for mark in CHECKPOINTS:
         if mark > config.total_ops:
@@ -186,8 +207,7 @@ def measure_amortized(config: BenchConfig) -> ComplexityReport:
     """Amortized steps/op for the counter, sampled at geometric checkpoints."""
     if config.object != "counter":
         raise ValueError("measure_amortized expects object='counter'")
-    rng = random.Random(config.seed)
-    return _measure(config, _workload(config, rng))
+    return _measure(config, _workload(config))
 
 
 def measure_worst_case(config: BenchConfig) -> ComplexityReport:
@@ -199,9 +219,8 @@ def measure_worst_case(config: BenchConfig) -> ComplexityReport:
     """
     if config.object not in ("maxreg-approx", "maxreg-exact"):
         raise ValueError("measure_worst_case expects a max register object")
-    rng = random.Random(config.seed)
-    workload = _workload(config, rng)
-    workload[0].insert(0, _OP_READ)
+    workload = _workload(config)
+    workload[0] = itertools.chain([_OP_READ], workload[0])
     return _measure(config, workload)
 
 
@@ -215,15 +234,10 @@ def run_sequential(config: BenchConfig) -> list[list[Any]]:
 
     Reference output for single-thread native runs.
     """
-    rng = random.Random(config.seed)
-    workload = _workload(config, rng)
     memory = shmem.Memory()
     instance = _factory(config)(memory)
-    responses: list[list[Any]] = []
-    for pid, ops in enumerate(workload):
-        responses.append([drive(instance.program(pid, name, args), memory, pid)
-                          for name, args in ops])
-    return responses
+    return [[drive(instance.program(pid, name, args), memory, pid) for name, args in ops]
+            for pid, ops in enumerate(_workload(config))]
 
 
 @dataclass
@@ -250,8 +264,8 @@ def run_native(config: BenchConfig) -> NativeReport:
     if config.n > MAX_NATIVE_THREADS:
         raise ValueError(f"native mode runs at most {MAX_NATIVE_THREADS} threads, "
                          f"not n={config.n}")
-    rng = random.Random(config.seed)
-    workload = _workload(config, rng)
+    # lists, so the threads share no dealer inside the timed loop
+    workload = [list(ops) for ops in _workload(config)]
     memory = NativeMemory()
     instance = _factory(config)(memory)
     responses: list[list[Any]] = [[] for _ in range(config.n)]

@@ -114,6 +114,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_check(args) -> int:
     workload = parse_workload(args.ops, args.n)
     factory, spec = _object_setup(args, workload)
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, not {args.budget}")
     if args.exhaustive:
         histories = shmem.distinct_histories(factory, workload)
     elif args.random < 1:

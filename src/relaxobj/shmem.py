@@ -30,9 +30,10 @@ from __future__ import annotations
 import json
 import random
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 REGISTER = "register"
 TAS = "tas"
@@ -270,9 +271,11 @@ class StepReport:
     ``amortized * op_count == total_steps`` exactly (Fraction arithmetic).
     """
 
-    per_op: list[list[int]]  # [proc][op ordinal] -> steps
+    per_op: list[list[int]] | None  # [proc][op ordinal] -> steps; None without history
     total_steps: int
     op_count: int  # operations invoked
+    completed: dict[int, int]  # completed operations by step count
+    pending: list[int]  # steps so far of each operation still in progress
 
     @property
     def amortized(self) -> Fraction:
@@ -281,14 +284,10 @@ class StepReport:
         return Fraction(self.total_steps, self.op_count)
 
     def max_op_steps(self) -> int:
-        return max((max(counts) for counts in self.per_op if counts), default=0)
+        return max(self.histogram(), default=0)
 
     def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for counts in self.per_op:
-            for s in counts:
-                hist[s] = hist.get(s, 0) + 1
-        return hist
+        return dict(Counter(self.completed) + Counter(self.pending))
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +296,26 @@ class StepReport:
 
 
 class Runner:
-    """Drives step machines: one base-object access per scheduled slot."""
+    """Drives step machines: one base-object access per scheduled slot.
+
+    Each process pulls its next ``(name, args)`` operation from its own
+    iterable when it invokes it.  Without ``record_history`` the runner
+    keeps no events and no per-op step lists, only a step histogram.
+    """
 
     def __init__(self, memory: Memory, instance: Any,
-                 workload: list[list[tuple[str, tuple]]],
+                 workload: list[Iterable[tuple[str, tuple]]],
                  record_history: bool = True) -> None:
         self.memory = memory
         self.instance = instance
-        self.n = len(workload)
-        self._workload = [list(ops) for ops in workload]
-        self._next_op = [0] * self.n
+        self._ops = [iter(ops) for ops in workload]
+        self.n = len(self._ops)
         self._gens: list[Any] = [None] * self.n
-        self._armed: list[tuple | None] = [None] * self.n  # (op name, request)
+        self._armed: list[tuple | None] = [None] * self.n  # (name, request, steps so far)
         self.active: list[int] = []  # pids with an armed access, arming order
-        self.per_op: list[list[int]] = [[] for _ in range(self.n)]
+        self.completed: dict[int, int] = {}  # completed operations by step count
+        self.per_op = [[] for _ in range(self.n)] if record_history else None  # completed
         self.events: list[Event] | None = [] if record_history else None
-        self.ops_invoked = 0
         self.ops_completed = 0
         self.slots = 0
         self.skipped: list[tuple[int, int]] = []  # (slot index, pid)
@@ -321,29 +324,25 @@ class Runner:
 
     def _invoke_until_armed(self, p: int) -> None:
         # Access-free operations complete in full at invocation time.
-        ops = self._workload[p]
-        i = self._next_op[p]
-        while i < len(ops):
-            name, args = ops[i]
-            i += 1
-            self.ops_invoked += 1
-            self.per_op[p].append(0)
+        for name, args in self._ops[p]:
             if self.events is not None:
                 self.events.append(Event("invoke", p, name, tuple(args), self.memory.steps))
             gen = self.instance.program(p, name, args)
             try:
                 request = next(gen)
             except StopIteration as stop:
-                self._respond(p, name, stop.value)
+                self._respond(p, name, stop.value, 0)
                 continue
             self._gens[p] = gen
-            self._armed[p] = (name, request)
+            self._armed[p] = (name, request, 0)
             self.active.append(p)
-            break
-        self._next_op[p] = i
+            return
 
-    def _respond(self, p: int, name: str, value: Any) -> None:
+    def _respond(self, p: int, name: str, value: Any, steps: int) -> None:
         self.ops_completed += 1
+        self.completed[steps] = self.completed.get(steps, 0) + 1
+        if self.per_op is not None:
+            self.per_op[p].append(steps)
         if self.events is not None:
             self.events.append(Event("respond", p, name, value, self.memory.steps))
 
@@ -354,20 +353,19 @@ class Runner:
         if armed is None:
             self.skipped.append((self.slots - 1, p))
             return False
-        name, request = armed
+        name, request, steps = armed
         arg = request[2] if len(request) > 2 else None
         result = self.memory.access(p, request[1], request[0], arg)
-        self.per_op[p][-1] += 1
         try:
             nxt = self._gens[p].send(result)
         except StopIteration as stop:
             self._armed[p] = None
             self._gens[p] = None
             self.active.remove(p)
-            self._respond(p, name, stop.value)
+            self._respond(p, name, stop.value, steps + 1)
             self._invoke_until_armed(p)
         else:
-            self._armed[p] = (name, nxt)
+            self._armed[p] = (name, nxt, steps + 1)
         return True
 
     def advance(self, pids, until_ops: int | None = None) -> bool:
@@ -382,19 +380,16 @@ class Runner:
                 return True
         return False
 
-    @property
-    def done(self) -> bool:
-        return not self.active
-
-    def runnable(self) -> list[int]:
-        return sorted(self.active)
-
     def history(self) -> History:
         return History(self.events if self.events is not None else [])
 
     def report(self) -> StepReport:
-        return StepReport([list(c) for c in self.per_op], self.memory.steps,
-                          self.ops_invoked)
+        pending = [armed[2] for armed in self._armed if armed]
+        per_op = None if self.per_op is None else [
+            done + [armed[2]] if armed else done[:]
+            for done, armed in zip(self.per_op, self._armed)]
+        invoked = self.ops_completed + len(pending)  # the rest hold an armed access
+        return StepReport(per_op, self.memory.steps, invoked, dict(self.completed), pending)
 
 
 # ---------------------------------------------------------------------------
@@ -402,36 +397,26 @@ class Runner:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """How to pick the next process: an explicit pid sequence or seeded random."""
+def explicit(pids) -> Callable[[Runner], Iterator[int]]:
+    """The schedule that runs one slot per pid in ``pids``, in order."""
+    pids = tuple(pids)
 
-    mode: str  # "explicit" | "random"
-    pids: tuple[int, ...] = ()
-    seed: int | None = None
-
-    def slots(self, runner: Runner) -> Iterator[int]:
-        """The pid of each slot this schedule runs on ``runner``."""
-        if self.mode == "explicit":
-            for p in self.pids:
-                if not 0 <= p < runner.n:
-                    raise ValueError(f"schedule references undeclared process {p}")
-                yield p
-        elif self.mode == "random":
-            rng = random.Random(self.seed)
-            active = runner.active
-            while active:
-                yield rng.choice(active)
-        else:
-            raise ValueError(f"unknown schedule mode {self.mode!r}")
+    def slots(runner: Runner) -> Iterator[int]:
+        for p in pids:
+            if not 0 <= p < runner.n:
+                raise ValueError(f"schedule references undeclared process {p}")
+            yield p
+    return slots
 
 
-def explicit(pids) -> Schedule:
-    return Schedule("explicit", tuple(pids))
-
-
-def seeded(seed: int) -> Schedule:
-    return Schedule("random", (), seed)
+def seeded(seed: int) -> Callable[[Runner], Iterator[int]]:
+    """A schedule of seeded random picks among the processes with an armed access."""
+    def slots(runner: Runner) -> Iterator[int]:
+        rng = random.Random(seed)
+        active = runner.active
+        while active:
+            yield rng.choice(active)
+    return slots
 
 
 @dataclass
@@ -451,42 +436,40 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
         *, record_history: bool = True, record_trace: bool = False) -> RunResult:
     """Run a workload deterministically under a schedule.
 
-    ``factory`` builds the object under test against a fresh Memory.
-    Equal (workload, schedule) inputs yield identical histories, reports
-    and traces.  A slot scheduled for a process with nothing to run is
-    skipped and recorded, not fatal.
+    ``factory`` builds the object under test against a fresh Memory, and
+    ``schedule`` is a pid sequence or a function such as :func:`seeded`
+    returns.  Equal (workload, schedule) inputs yield identical histories,
+    reports and traces.  A slot scheduled for a process with nothing to
+    run is skipped and recorded, not fatal.
     """
-    if not isinstance(schedule, Schedule):
+    if not callable(schedule):
         schedule = explicit(schedule)
     memory = Memory(record_trace=record_trace)
     instance = factory(memory)
     runner = Runner(memory, instance, workload, record_history=record_history)
-    runner.advance(schedule.slots(runner))
+    runner.advance(schedule(runner))
     return RunResult(runner.history(), runner.report(), memory.trace,
                      memory, instance, runner)
 
 
-def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
-                            step_bound: int | None = None) -> Iterator[RunResult]:
+def enumerate_interleavings(factory: Callable[[Memory], Any],
+                            workload) -> Iterator[RunResult]:
     """Yield every distinct maximal interleaving of the workload exactly once.
 
     Interleavings branch on which process performs the next base-object
     access.  The number of leaves grows combinatorially with the total
-    step count; keep workloads at desk scale.  With ``step_bound`` set,
-    exploration stops after that many slots and yields the truncated run.
+    step count; keep workloads at desk scale.  Every leaf replays its
+    prefix from fresh memory, so the workload is turned into lists once.
     """
+    workload = [list(ops) for ops in workload]
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         memory = Memory()
         runner = Runner(memory, factory(memory), workload)
         runner.advance(prefix)
-        while True:
-            if step_bound is not None and runner.slots >= step_bound:
-                break
-            choices = runner.runnable()
-            if not choices:
-                break
+        while runner.active:
+            choices = sorted(runner.active)
             # alternatives are replayed later; the first choice continues here
             for p in reversed(choices[1:]):
                 stack.append(prefix + (p,))

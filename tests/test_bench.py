@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -109,6 +110,55 @@ def test_worst_case_exact_register_m_2_64():
     assert report.max_op_steps <= 64
 
 
+# (ops, total_steps, max_op_steps) per checkpoint, and the histogram where
+# pinned: a wrongly dealt or wrongly counted operation stream changes these
+PINNED = [
+    (measure_amortized,
+     BenchConfig(object="counter", n=16, k=4, total_ops=10**5, read_fraction=0.1, seed=1),
+     [(1013, 377, 9), (10006, 1495, 9), (100000, 10634, 9)],
+     {0: 89899, 1: 9837, 2: 131, 3: 27, 4: 88, 5: 10, 6: 6, 7: 1, 9: 1}),
+    (measure_worst_case,
+     BenchConfig(object="maxreg-exact", n=2, m=2**20, total_ops=10**4,
+                 read_fraction=0.5, seed=1),
+     [(1000, 10819, 20), (10000, 110478, 20), (10001, 110498, 20)],
+     None),
+    (measure_worst_case,
+     BenchConfig(object="maxreg-approx", n=4, k=2, m=2**16, total_ops=3000,
+                 read_fraction=0.3, seed=5),
+     [(1000, 3774, 5), (3001, 11366, 5)],
+     {1: 8, 2: 101, 3: 413, 4: 2478, 5: 1}),
+]
+
+
+@pytest.mark.parametrize("measure,config,checkpoints,histogram", PINNED,
+                         ids=["counter", "maxreg-exact", "maxreg-approx"])
+def test_pinned_outputs(measure, config, checkpoints, histogram):
+    report = measure(config)
+    assert [(c.ops, c.total_steps, c.max_op_steps)
+            for c in report.checkpoints] == checkpoints
+    if histogram is not None:
+        assert report.histogram == histogram
+
+
+@pytest.mark.parametrize("measure,config", [
+    (measure_amortized,
+     BenchConfig(object="counter", n=16, k=4, total_ops=10**5, read_fraction=0.1, seed=1)),
+    (measure_worst_case,
+     BenchConfig(object="maxreg-exact", n=2, m=2**20, total_ops=10**4,
+                 read_fraction=0.5, seed=1)),
+], ids=["counter", "maxreg-exact"])
+def test_simulated_bench_streams_its_workload(measure, config):
+    # memory must not grow with the operation count: the operations are
+    # drawn as processes invoke them and no per-op list is kept
+    tracemalloc.start()
+    try:
+        measure(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
 def test_csv_and_json_reports():
     config = BenchConfig(object="counter", n=2, k=2, total_ops=1500,
                          read_fraction=0.2, seed=0)
@@ -142,6 +192,14 @@ def test_native_single_thread_matches_sequential():
     assert native.responses == run_sequential(config)
     assert native.total_ops == 2000
     assert native.per_thread_ops == [2000]
+
+
+def test_sequential_reference_runs_every_dealt_operation():
+    # process 0 runs first and draws the whole sequence; the others still
+    # get the operations dealt to them
+    config = BenchConfig(object="maxreg-exact", n=3, m=100, total_ops=10,
+                         read_fraction=0.5, seed=2)
+    assert [len(r) for r in run_sequential(config)] == [4, 3, 3]
 
 
 def test_native_counter_sanity_envelope():

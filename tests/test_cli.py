@@ -99,6 +99,14 @@ def test_check_random_count_below_one_usage_error(count, capsys):
     assert "--random" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_check_budget_below_one_usage_error(budget, capsys):
+    code = main(["check", "--object", "counter", "--ops", "p0:inc,read",
+                 "--random", "2", "--budget", budget])
+    assert code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_check_malformed_ops_usage_error(capsys):
     code = main(["check", "--object", "counter", "--n", "2", "--k", "2",
                  "--ops", "p0:frobnicate", "--exhaustive"])

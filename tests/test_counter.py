@@ -191,7 +191,7 @@ def test_low_count_window_escape_below_k_eq_n_minus_1():
     factory = lambda mem: ApproxCounter(mem, 4, 2)
     workload = [[INC, INC], [INC], [INC], [INC, READ]]
     result = run(factory, workload, explicit([0, 1, 2, 2, 3, 3, 3, 3, 3, 3]))
-    assert result.runner.done
+    assert not result.runner.active
     assert result.instance.set_indexes() == [0]
     incs = sum(1 for e in result.history if e.kind == "respond" and e.op == "inc")
     reads = [e.payload for e in result.history
@@ -238,7 +238,7 @@ def test_read_rechecks_bit_one_when_units_grow():
     # p0 claims bit 1 before the re-read: the read continues up the ladder
     workload = [[INC] * 3, [], [INC], [READ]]
     result = run(factory, workload, explicit([0, 3, 3, 2, 2, 3, 0, 0, 3, 3]))
-    assert result.runner.done
+    assert not result.runner.active
     assert [e.payload for e in result.history
             if e.kind == "respond" and e.op == "read"] == [return_value(1, 0, 2)]
     assert result.report.per_op[3] == [5]

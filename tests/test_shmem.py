@@ -125,10 +125,15 @@ def test_single_process_has_one_interleaving():
     assert len(results) == 1
 
 
-def test_enumerate_step_bound_truncates():
+def test_enumerate_workload_of_iterators_matches_lists():
+    # every leaf replays its prefix, so one pass over an iterator must suffice
     factory = lambda mem: SpinInstance(mem)
-    results = list(enumerate_interleavings(factory, spin_workload(2, 2), step_bound=2))
-    assert {r.schedule for r in results} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    workload = [[("spin", (1,)), ("spin", (2,))], [("spin", (2,))], [("spin", (1,))]]
+    as_lists = [r.schedule for r in enumerate_interleavings(factory, workload)]
+    as_iterators = [r.schedule for r in
+                    enumerate_interleavings(factory, [iter(ops) for ops in workload])]
+    assert as_iterators == as_lists
+    assert len(as_lists) == 60  # 6! / (3! 2! 1!)
 
 
 def test_history_json_roundtrip():
@@ -176,7 +181,7 @@ def test_atomicity_reads_see_latest_write():
 def test_random_schedules_complete_everything(step_counts, seed):
     factory = lambda mem: SpinInstance(mem)
     result = run(factory, spin_workload(*step_counts), seeded(seed))
-    assert result.runner.done
+    assert not result.runner.active
     assert result.report.op_count == len(step_counts)
     responded = [e for e in result.history if e.kind == "respond"]
     assert len(responded) == len(step_counts)

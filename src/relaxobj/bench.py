@@ -35,6 +35,8 @@ MAX_PROCESSES = 10**4
 
 #: most threads native mode starts (one per process)
 MAX_NATIVE_THREADS = 64
+#: most operations native mode runs; each thread holds its whole op list
+MAX_NATIVE_OPS = 10**6
 
 _OP_INC = ("inc", ())
 _OP_READ = ("read", ())
@@ -261,9 +263,9 @@ class NativeReport:
 
 def run_native(config: BenchConfig) -> NativeReport:
     """Run the workload over locked cells with one thread per process."""
-    if config.n > MAX_NATIVE_THREADS:
-        raise ValueError(f"native mode runs at most {MAX_NATIVE_THREADS} threads, "
-                         f"not n={config.n}")
+    if config.n > MAX_NATIVE_THREADS or config.total_ops > MAX_NATIVE_OPS:
+        raise ValueError(f"native mode runs at most {MAX_NATIVE_THREADS} threads and "
+                         f"{MAX_NATIVE_OPS} ops, not n={config.n} and {config.total_ops} ops")
     # lists, so the threads share no dealer inside the timed loop
     workload = [list(ops) for ops in _workload(config)]
     memory = NativeMemory()

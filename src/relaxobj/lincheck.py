@@ -11,11 +11,13 @@ Pending operations follow the usual completion convention: a pending
 query is dropped; a pending update may have taken effect or not, so the
 checker is free to include it or leave it out.
 
-Two search routines are provided.  :func:`check` memoizes on (abstract
-state, bitmask of linearized operations) and is the production path;
+Two search routines are provided.  :func:`check` is the production path:
+an iterative depth-first search, with no recursion and so no depth limit,
+memoized on (abstract state, bitmask of linearized operations).  Only an
+operation invoked before the first response among the unlinearized ones
+invoked before it may go next (the frontier rule of Wing & Gong).
 :func:`check_bruteforce` enumerates precedence-respecting permutations
-outright and replays each one, serving as the ground-truth oracle for
-small histories.
+outright and replays each one: the ground-truth oracle for small histories.
 """
 
 from __future__ import annotations
@@ -140,13 +142,8 @@ class CheckResult:
         return doc
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _usable_ops(history: History | list, spec: RelaxedSpec) -> list[OpRecord]:
-    ops = history.operations() if isinstance(history, History) else list(history)
-    return [o for o in ops if not o.pending or o.name in spec.updates]
+def _usable_ops(history: History, spec: RelaxedSpec) -> list[OpRecord]:
+    return [o for o in history.operations() if not o.pending or o.name in spec.updates]
 
 
 def _precedence_masks(ops: list[OpRecord]) -> list[int]:
@@ -159,7 +156,7 @@ def _precedence_masks(ops: list[OpRecord]) -> list[int]:
     return before
 
 
-def check(history: History | list, spec: RelaxedSpec,
+def check(history: History, spec: RelaxedSpec,
           state_budget: int = DEFAULT_STATE_BUDGET) -> CheckResult:
     """Memoized exhaustive search for a linearization of ``history``.
 
@@ -168,48 +165,48 @@ def check(history: History | list, spec: RelaxedSpec,
     a blown budget yields "inconclusive".
     """
     ops = _usable_ops(history, spec)
-    before = _precedence_masks(ops)
     required = 0
     for i, o in enumerate(ops):
         if not o.pending:
             required |= 1 << i
-    count = len(ops)
     failed: set[tuple[Any, int]] = set()
-    explored = 0
 
-    def search(state, mask) -> list[int] | None:
-        nonlocal explored
+    def children(state, mask):
+        """Scan from the first unlinearized op, yielding (op index, child) for each
+        unfailed child the frontier rule admits; when done, mark this state failed."""
+        earliest = float("inf")  # first response among unlinearized ops passed
+        for i in range((~mask & (mask + 1)).bit_length() - 1, len(ops)):
+            o = ops[i]
+            if o.invoked > earliest:
+                break  # ops are in invocation order: later ones are invoked later still
+            if mask >> i & 1:
+                continue
+            if o.responded is not None and o.responded < earliest:
+                earliest = o.responded
+            if o.pending or spec.accepts(state, o.name, o.args, o.ret):
+                child = (spec.apply(state, o.name, o.args), mask | 1 << i)
+                if child not in failed:
+                    yield i, child
+        failed.add((state, mask))
+
+    explored = 0
+    path = []  # [children, op index taken] for each state on the current path
+    state, mask = spec.initial, 0
+    while True:
         if mask & required == required:
-            return []
-        key = (state, mask)
-        if key in failed:
-            return None
+            return CheckResult("valid", [ops[i] for _, i in path], explored)
         explored += 1
         if explored > state_budget:
-            raise _BudgetExceeded
-        for i in range(count):
-            bit = 1 << i
-            if mask & bit or before[i] & ~mask:
-                continue
-            o = ops[i]
-            if not o.pending and not spec.accepts(state, o.name, o.args, o.ret):
-                continue
-            tail = search(spec.apply(state, o.name, o.args), mask | bit)
-            if tail is not None:
-                return [i] + tail
-        failed.add(key)
-        return None
-
-    try:
-        order = search(spec.initial, 0)
-    except _BudgetExceeded:
-        return CheckResult("inconclusive", None, explored)
-    if order is None:
-        return CheckResult("invalid", None, explored)
-    return CheckResult("valid", [ops[i] for i in order], explored)
+            return CheckResult("inconclusive", None, explored)
+        path.append([children(state, mask), None])
+        while (step := next(path[-1][0], None)) is None:
+            path.pop()
+            if not path:
+                return CheckResult("invalid", None, explored)
+        path[-1][1], (state, mask) = step
 
 
-def check_bruteforce(history: History | list, spec: RelaxedSpec) -> CheckResult:
+def check_bruteforce(history: History, spec: RelaxedSpec) -> CheckResult:
     """Oracle checker: enumerate permutations, then replay each in full.
 
     Permutations are generated respecting precedence only (never pruned

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from relaxobj import bench
 from relaxobj.bench import MAX_NATIVE_THREADS, MAX_PROCESSES
 from relaxobj.cli import UsageError, main, parse_workload
 
@@ -107,6 +108,14 @@ def test_check_budget_below_one_usage_error(budget, capsys):
     assert "--budget" in capsys.readouterr().err
 
 
+def test_check_long_sequential_workload_exit_zero(capsys):
+    code = main(["check", "--object", "counter", "--k", "2",
+                 "--ops", "p0:" + "inc," * 1200 + "read", "--random", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (doc["histories"], doc["valid"]) == (1, 1)
+
+
 def test_check_malformed_ops_usage_error(capsys):
     code = main(["check", "--object", "counter", "--n", "2", "--k", "2",
                  "--ops", "p0:frobnicate", "--exhaustive"])
@@ -199,6 +208,17 @@ def test_bench_native_thread_cap_usage_error(capsys, monkeypatch):
                  "--n", str(MAX_NATIVE_THREADS + 1), "--ops", "10"])
     assert code == 2
     assert "at most" in capsys.readouterr().err
+
+
+def test_bench_native_ops_cap_usage_error(capsys, monkeypatch):
+    def no_workload(config):
+        raise AssertionError("the workload was drawn")
+
+    monkeypatch.setattr(bench, "_workload", no_workload)
+    code = main(["bench", "--native", "--object", "counter", "--n", "2",
+                 "--ops", "1000001"])
+    assert code == 2
+    assert "and 1000001 ops" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxobj import (builtin_specs, check, check_bruteforce, counter_spec,
-                      maxreg_approx_spec, maxreg_exact_spec)
+from relaxobj import (ApproxCounter, builtin_specs, check, check_bruteforce,
+                      counter_spec, maxreg_approx_spec, maxreg_exact_spec, run,
+                      seeded)
 from relaxobj.shmem import Event, History
 
 
@@ -18,6 +19,20 @@ def H(*events):
     kinds = {"i": "invoke", "r": "respond"}
     return History([Event(kinds[k], proc, op, payload, step)
                     for step, (k, proc, op, payload) in enumerate(events)])
+
+
+def assert_witness_replays(h, spec, witness):
+    """The witness holds every completed op, respects real time and replays."""
+    assert {(o.proc, o.index) for o in h.operations() if not o.pending} \
+        <= {(o.proc, o.index) for o in witness}
+    for i, a in enumerate(witness):
+        for b in witness[i + 1:]:
+            # nothing later in the witness may precede a in real time
+            assert b.responded is None or b.responded > a.invoked
+    state = spec.initial
+    for o in witness:
+        assert o.pending or spec.accepts(state, o.name, o.args, o.ret)
+        state = spec.apply(state, o.name, o.args)
 
 
 def test_sequential_exact_maxreg_valid():
@@ -71,16 +86,8 @@ def test_witness_respects_precedence_and_replays():
     spec = counter_spec(2)
     result = check(h, spec)
     assert result.valid
-    witness = result.witness
-    assert len(witness) == len(h.operations())  # everything completed
-    for i, a in enumerate(witness):
-        for b in witness[i + 1:]:
-            # nothing later in the witness may precede a in real time
-            assert b.responded is None or b.responded > a.invoked
-    state = spec.initial
-    for o in witness:
-        assert spec.accepts(state, o.name, o.args, o.ret)
-        state = spec.apply(state, o.name, o.args)
+    assert len(result.witness) == len(h.operations())  # everything completed
+    assert_witness_replays(h, spec, result.witness)
 
 
 def test_pending_update_may_count_either_way():
@@ -117,6 +124,51 @@ def test_inconclusive_on_tiny_budget():
     assert check(h, counter_spec(2)).valid
 
 
+def _seeded_counter_history(n, ops, seed):
+    rng = random.Random(seed)
+    workload = [[("read", ()) if rng.random() < 0.3 else ("inc", ())
+                 for _ in range(ops)] for _ in range(n)]
+    return run(lambda memory: ApproxCounter(memory, n, 2), workload,
+               seeded(seed)).history
+
+
+@pytest.mark.parametrize("h, spec", [
+    (H(*[("i", p, "inc", ()) for p in range(6)],
+       *[("r", p, "inc", None) for p in range(6)]), counter_spec(2)),
+    (H(("i", 0, "inc", ()), ("i", 1, "read", ()), ("r", 1, "read", 2),
+       ("i", 1, "read", ()), ("r", 1, "read", 5)), counter_spec(2)),
+    (H(("i", 0, "write", (3,)), ("i", 1, "read", ()), ("r", 0, "write", None),
+       ("i", 0, "write", (5,)), ("r", 1, "read", 5), ("r", 0, "write", None),
+       ("i", 1, "read", ()), ("r", 1, "read", 3)), maxreg_exact_spec()),
+    (_seeded_counter_history(9, 8, 5), counter_spec(2)),
+], ids=["concurrent-incs", "invalid-counter", "invalid-maxreg", "seeded-n9"])
+def test_budget_boundary_is_exact(h, spec):
+    full = check(h, spec)
+    explored = full.states_explored
+    short = check(h, spec, state_budget=explored - 1)
+    assert short.verdict == "inconclusive"
+    assert short.states_explored == explored
+    exact = check(h, spec, state_budget=explored)
+    assert (exact.verdict, exact.states_explored) == (full.verdict, explored)
+    assert exact.witness == full.witness
+
+
+def test_long_histories_return_a_verdict():
+    # sequential, like perfbench's depth probe: every fourth op is a read
+    events, count = [], 0
+    for i in range(10_000):
+        if i % 4 == 3:
+            events += [("i", 0, "read", ()), ("r", 0, "read", count)]
+        else:
+            count += 1
+            events += [("i", 0, "inc", ()), ("r", 0, "inc", None)]
+    sequential = H(*events)
+    assert check(sequential, counter_spec(2)).valid
+    concurrent = _seeded_counter_history(4, 2_500, 2)
+    assert len(concurrent.operations()) == 10_000
+    assert check(concurrent, counter_spec(2)).valid
+
+
 def test_bruteforce_matches_examples():
     h = H(("i", 0, "inc", ()), ("r", 0, "inc", None),
           ("i", 1, "read", ()), ("r", 1, "read", 5))
@@ -131,23 +183,31 @@ def test_bruteforce_matches_examples():
 def test_checker_agrees_with_bruteforce_on_random_histories(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        update, returns = "inc", [0, 1, 2, 3, 4, 6, 8]
+        spec = counter_spec(rng.choice([2, 4]))
+    else:
+        update, returns = "write", [0, 1, 2, 3, 4, 5, 8, 16]
+        spec = rng.choice([maxreg_exact_spec(), maxreg_approx_spec(2)])
     events: list[tuple] = []
     open_op: dict[int, str] = {}
     for _ in range(rng.randint(2, 10)):
         proc = rng.randrange(n)
         if proc in open_op and rng.random() < 0.6:
             name = open_op.pop(proc)
-            ret = None if name == "inc" else rng.choice([0, 1, 2, 3, 4, 6, 8])
+            ret = None if name == update else rng.choice(returns)
             events.append(("r", proc, name, ret))
         elif proc not in open_op:
-            name = rng.choice(["inc", "read"])
+            name = rng.choice([update, "read"])
             open_op[proc] = name
-            events.append(("i", proc, name, ()))
+            args = (rng.choice([1, 2, 3, 5, 8]),) if name == "write" else ()
+            events.append(("i", proc, name, args))
     h = H(*events)
-    k = rng.choice([2, 4])
-    fast = check(h, counter_spec(k))
-    slow = check_bruteforce(h, counter_spec(k))
+    fast = check(h, spec)
+    slow = check_bruteforce(h, spec)
     assert fast.verdict == slow.verdict
+    if fast.valid:
+        assert_witness_replays(h, spec, fast.witness)
 
 
 def test_check_accepts_json_history():

@@ -10,8 +10,8 @@ checker, and a step-complexity metrics engine.
 from .bench import BenchConfig, ComplexityReport, NativeReport, measure_amortized, \
     measure_worst_case, run_native
 from .counter import ApproxCounter, ProcessState, return_value
-from .lincheck import CheckResult, RelaxedSpec, builtin_specs, check, \
-    check_bruteforce, counter_spec, maxreg_approx_spec, maxreg_exact_spec
+from .lincheck import CheckResult, RelaxedSpec, check, check_bruteforce, \
+    counter_spec, maxreg_approx_spec, maxreg_exact_spec
 from .maxreg_approx import ApproxMaxRegister, floor_log
 from .maxreg_exact import BoundedMaxRegister
 from .shmem import Cell, Event, History, LazyCells, Memory, OpRecord, RunResult, \
@@ -22,8 +22,7 @@ __all__ = [
     "ApproxCounter", "ApproxMaxRegister", "BenchConfig", "BoundedMaxRegister",
     "Cell", "CheckResult", "ComplexityReport", "Event", "History", "LazyCells",
     "Memory", "NativeReport", "OpRecord", "ProcessState", "RelaxedSpec",
-    "RunResult", "Runner", "StepReport",
-    "builtin_specs", "check", "check_bruteforce", "counter_spec",
+    "RunResult", "Runner", "StepReport", "check", "check_bruteforce", "counter_spec",
     "enumerate_interleavings", "explicit", "floor_log", "maxreg_approx_spec",
     "maxreg_exact_spec", "measure_amortized", "measure_worst_case",
     "return_value", "run", "run_native", "seeded", "trace_lines",

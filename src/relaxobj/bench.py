@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator
 
-from . import shmem
+from . import lincheck, shmem
 from .shmem import NativeMemory, drive
 from .counter import ApproxCounter
 from .maxreg_approx import ApproxMaxRegister
@@ -41,10 +41,21 @@ MAX_NATIVE_OPS = 10**6
 _OP_INC = ("inc", ())
 _OP_READ = ("read", ())
 
+#: every object the harness runs, by name: (builder over (memory, n, k, m),
+#: specification given k); key order is the order --help lists them in
+OBJECTS = {
+    "counter": (lambda memory, n, k, m: ApproxCounter(memory, n, k),
+                lincheck.counter_spec),
+    "maxreg-exact": (lambda memory, n, k, m: BoundedMaxRegister(memory, m),
+                     lambda k: lincheck.maxreg_exact_spec()),
+    "maxreg-approx": (lambda memory, n, k, m: ApproxMaxRegister(memory, k, m),
+                      lincheck.maxreg_approx_spec),
+}
+
 
 @dataclass(frozen=True)
 class BenchConfig:
-    object: str  # "counter" | "maxreg-approx" | "maxreg-exact"
+    object: str  # a key of OBJECTS
     n: int = 1
     k: int = 2
     m: int | None = None
@@ -62,8 +73,10 @@ class BenchConfig:
             raise ValueError("total_ops must be >= 1")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
-        if self.object not in ("counter", "maxreg-approx", "maxreg-exact"):
+        if self.object not in OBJECTS:
             raise ValueError(f"unknown object {self.object!r}")
+        if self.mode not in ("simulated", "native"):
+            raise ValueError(f"mode must be 'simulated' or 'native', not {self.mode!r}")
         if self.object.startswith("maxreg"):
             if self.m is None:
                 raise ValueError("max registers need the value bound m")
@@ -165,11 +178,8 @@ def _workload(config: BenchConfig) -> list[Iterator[tuple]]:
 
 def factory(obj: str, n: int, k: int, m: int | None):
     """Builder of the named object over a given memory."""
-    if obj == "counter":
-        return lambda memory: ApproxCounter(memory, n, k)
-    if obj == "maxreg-approx":
-        return lambda memory: ApproxMaxRegister(memory, k, m)
-    return lambda memory: BoundedMaxRegister(memory, m)
+    build = OBJECTS[obj][0]
+    return lambda memory: build(memory, n, k, m)
 
 
 def _factory(config: BenchConfig):
@@ -183,6 +193,8 @@ def _checkpoint(runner: shmem.Runner) -> Checkpoint:
 
 
 def _measure(config: BenchConfig, workload) -> ComplexityReport:
+    if config.mode != "simulated":
+        raise ValueError(f"step measurement needs mode='simulated', not {config.mode!r}")
     memory = shmem.Memory()
     instance = _factory(config)(memory)
     runner = shmem.Runner(memory, instance, workload, record_history=False)
@@ -263,6 +275,8 @@ class NativeReport:
 
 def run_native(config: BenchConfig) -> NativeReport:
     """Run the workload over locked cells with one thread per process."""
+    if config.mode != "native":
+        raise ValueError(f"run_native needs mode='native', not {config.mode!r}")
     if config.n > MAX_NATIVE_THREADS or config.total_ops > MAX_NATIVE_OPS:
         raise ValueError(f"native mode runs at most {MAX_NATIVE_THREADS} threads and "
                          f"{MAX_NATIVE_OPS} ops, not n={config.n} and {config.total_ops} ops")

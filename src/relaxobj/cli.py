@@ -25,6 +25,11 @@ class UsageError(Exception):
     pass
 
 
+def _ascii_digits(text: str) -> bool:
+    # int() also takes signs, spaces, '_' separators and non-ASCII digits
+    return text.isascii() and text.isdigit()
+
+
 def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
     """Parse the workload mini-language: ``p0:inc,read;p1:write(5),read``."""
     procs: dict[int, list[tuple]] = {}
@@ -36,12 +41,9 @@ def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
         head = head.strip()
         if not sep or not head.startswith("p"):
             raise UsageError(f"expected 'pN:op,op,...', got {part!r}")
-        try:
-            pid = int(head[1:])
-        except ValueError:
-            raise UsageError(f"bad process id {head!r}") from None
-        if pid < 0:
+        if not _ascii_digits(head[1:]):
             raise UsageError(f"bad process id {head!r}")
+        pid = int(head[1:])
         if pid in procs:
             raise UsageError(f"process p{pid} listed twice")
         ops: list[tuple] = []
@@ -52,11 +54,10 @@ def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
             elif token == "read":
                 ops.append(("read", ()))
             elif token.startswith("write(") and token.endswith(")"):
-                try:
-                    value = int(token[len("write("):-1])
-                except ValueError:
-                    raise UsageError(f"bad write argument in {token!r}") from None
-                ops.append(("write", (value,)))
+                value = token[len("write("):-1]
+                if not _ascii_digits(value.removeprefix("-")):
+                    raise UsageError(f"bad write argument in {token!r}")
+                ops.append(("write", (int(value),)))
             else:
                 raise UsageError(f"unknown operation {token!r}")
         procs[pid] = ops
@@ -77,14 +78,9 @@ def _object_setup(args, workload):
     Rejects a workload with an operation the object does not support.
     """
     obj = args.object
-    if obj == "counter":
-        spec = lincheck.counter_spec(args.k)
-    elif args.m is None:
+    if obj.startswith("maxreg") and args.m is None:
         raise UsageError(f"{obj} needs --m")
-    elif obj == "maxreg-exact":
-        spec = lincheck.maxreg_exact_spec()
-    else:
-        spec = lincheck.maxreg_approx_spec(args.k)
+    spec = bench.OBJECTS[obj][1](args.k)
     allowed = spec.updates | {"read"}
     for ops in workload:
         for name, _ in ops:
@@ -140,18 +136,12 @@ def cmd_check(args) -> int:
         "invalid": counts["invalid"],
         "inconclusive": counts["inconclusive"],
     }
-    if args.object == "counter" and args.k * args.k < len(workload):
+    if not getattr(factory(shmem.Memory()), "accuracy_guaranteed", True):
         report["note"] = ("k*k < n: the accuracy window is not guaranteed "
                           "in this regime")
     if first_invalid is not None:
         report["first_invalid"] = json.loads(first_invalid.to_json())
-    if args.format == "text":
-        lines = [report["config"]] + [
-            f"{key}: {report[key]}" for key in ("histories", "valid", "invalid", "inconclusive")
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     if counts["invalid"]:
         return 1
     if counts["inconclusive"]:
@@ -203,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_m=True):
-        p.add_argument("--object", required=True,
-                       choices=("counter", "maxreg-exact", "maxreg-approx"))
+        p.add_argument("--object", required=True, choices=tuple(bench.OBJECTS))
         p.add_argument("--n", type=int, default=None, help="process count")
         p.add_argument("--k", type=int, default=2, help="accuracy factor")
         if with_m:
@@ -222,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run COUNT seeded random schedules")
     check.add_argument("--budget", type=int, default=lincheck.DEFAULT_STATE_BUDGET,
                        help="checker state budget before 'inconclusive'")
-    check.add_argument("--format", choices=("json", "text"), default="json")
     check.set_defaults(func=cmd_check)
 
     bench_p = sub.add_parser("bench", help="measure step complexity or native throughput")

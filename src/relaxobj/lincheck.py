@@ -103,15 +103,6 @@ def maxreg_approx_spec(k: int) -> RelaxedSpec:
                        frozenset({"write"}))
 
 
-def builtin_specs(k: int) -> dict[str, RelaxedSpec]:
-    """The three specifications the harness checks objects against."""
-    return {
-        "counter": counter_spec(k),
-        "maxreg-exact": maxreg_exact_spec(),
-        "maxreg-approx": maxreg_approx_spec(k),
-    }
-
-
 @dataclass
 class CheckResult:
     """Outcome of a linearizability check.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import tracemalloc
 
 import pytest
@@ -34,6 +35,30 @@ def test_config_validation():
         with pytest.raises(ValueError, match="k must be"):
             BenchConfig(object=obj, k=1, m=10)
     BenchConfig(object="maxreg-exact", k=1, m=2)  # k is unused there
+
+
+def test_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be"):
+        BenchConfig(object="counter", mode="bogus")
+
+
+@pytest.mark.parametrize("measure, config", [
+    (measure_amortized, BenchConfig(object="counter", total_ops=10, mode="native")),
+    (measure_worst_case, BenchConfig(object="maxreg-exact", m=16, total_ops=10,
+                                     mode="native")),
+])
+def test_step_measurement_rejects_native_config(measure, config):
+    with pytest.raises(ValueError, match="mode='simulated'"):
+        measure(config)
+
+
+def test_run_native_rejects_simulated_config_before_threads(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("run_native started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    with pytest.raises(ValueError, match="mode='native'"):
+        run_native(BenchConfig(object="counter", n=2, total_ops=10))
 
 
 def test_single_process_inc_read_exact_steps():

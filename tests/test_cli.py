@@ -17,6 +17,7 @@ def test_parse_workload():
     workload = parse_workload("p0:inc,read;p1:write(5),read")
     assert workload == [[("inc", ()), ("read", ())],
                         [("write", (5,)), ("read", ())]]
+    assert parse_workload("p0:write(-3)") == [[("write", (-3,))]]
 
 
 def test_parse_workload_gaps_and_spacing():
@@ -26,6 +27,9 @@ def test_parse_workload_gaps_and_spacing():
 
 @pytest.mark.parametrize("text", [
     "", "p0", "q0:inc", "p0:jump", "p0:write(x)", "p0:inc;p0:read", "px:inc",
+    # int() would take each of these as a number
+    "p-0:inc", "p 1:inc", "p1_0:inc", "p+1:inc", "p\u0663:inc",
+    "p0:write(+5)", "p0:write( 5)", "p0:write(1_0)", "p0:write(\u0663)",
 ])
 def test_parse_workload_rejects_malformed(text):
     with pytest.raises(UsageError):
@@ -274,4 +278,8 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["check", "--object", "turnstile", "--ops", "p0:read",
               "--exhaustive"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # check reports JSON only
+        main(["check", "--object", "counter", "--ops", "p0:read",
+              "--exhaustive", "--format", "text"])
     assert err.value.code == 2

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxobj import (ApproxCounter, builtin_specs, check, check_bruteforce,
-                      counter_spec, maxreg_approx_spec, maxreg_exact_spec, run,
-                      seeded)
+from relaxobj import (ApproxCounter, check, check_bruteforce, counter_spec,
+                      maxreg_approx_spec, maxreg_exact_spec, run, seeded)
+from relaxobj.bench import OBJECTS
 from relaxobj.shmem import Event, History
 
 
@@ -61,7 +61,7 @@ def test_counter_concurrent_read_valid():
 
 
 def test_builtin_window_predicates():
-    specs = builtin_specs(4)
+    specs = {name: spec(4) for name, (_, spec) in OBJECTS.items()}
     counter = specs["counter"]
     assert counter.accepts(5, "read", (), 20)  # 5/4 <= 20 <= 20
     assert not counter.accepts(5, "read", (), 21)
@@ -70,6 +70,7 @@ def test_builtin_window_predicates():
     exact = specs["maxreg-exact"]
     assert exact.accepts(0, "read", (), 0)
     assert not exact.accepts(3, "read", (), 2)
+    assert not exact.accepts(3, "read", (), 4)  # no overshoot either
     approx = specs["maxreg-approx"]
     assert approx.accepts(3, "read", (), 4)
     assert approx.accepts(3, "read", (), 12)

@@ -26,7 +26,6 @@ def main():
                     if e.kind == "respond" and e.op == "inc"
                     and e.step <= reads[-1].step)
         x = reads[-1].payload
-        total = sum(len(ops) for ops in workload) - 1
         print(f"{seed:>4}  ~{exact:>7}  {x:>7}  {exact/K:.1f} .. {exact*K}")
 
     print()

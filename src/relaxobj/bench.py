@@ -53,6 +53,11 @@ OBJECTS = {
 }
 
 
+def config_echo(**fields: Any) -> str:
+    """A report's config echo: ``key=value`` pairs joined by spaces, ``-`` for unset."""
+    return " ".join(f"{key}={'-' if value is None else value}" for key, value in fields.items())
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     object: str  # a key of OBJECTS
@@ -86,16 +91,16 @@ class BenchConfig:
             raise ValueError(f"k must be >= 2 for {self.object}, not {self.k}")
 
     def echo(self) -> str:
-        return (f"object={self.object} n={self.n} k={self.k} "
-                f"m={self.m if self.m is not None else '-'} ops={self.total_ops} "
-                f"read_fraction={self.read_fraction} seed={self.seed} mode={self.mode}")
+        return config_echo(object=self.object, n=self.n, k=self.k, m=self.m,
+                           ops=self.total_ops, read_fraction=self.read_fraction,
+                           seed=self.seed, mode=self.mode)
 
 
 @dataclass
 class Checkpoint:
-    ops: int
+    ops: int  # operations completed
     total_steps: int
-    amortized: Fraction
+    amortized: Fraction  # total_steps over operations invoked: ops plus up to n in flight
     max_op_steps: int
 
 
@@ -134,7 +139,9 @@ class ComplexityReport:
         return json.dumps(doc, indent=2)
 
     def to_csv(self) -> str:
-        # amortized rounds to 6 decimals here; to_json carries it exactly
+        # amortized rounds to 6 decimals here; to_json carries it exactly.  It
+        # divides by operations invoked, which exceed a row's completed ops by
+        # the ones in flight (up to n)
         lines = [f"# config: {self.config.echo()}",
                  "ops,total_steps,amortized,max_op_steps"]
         for c in self.checkpoints:
@@ -214,7 +221,7 @@ def _measure(config: BenchConfig, workload) -> ComplexityReport:
     bound = getattr(instance, "step_bound", None)
     return ComplexityReport(config, checkpoints, report.op_count, report.total_steps,
                             report.amortized, report.max_op_steps(),
-                            report.histogram(), bound)
+                            report.histogram, bound)
 
 
 def measure_amortized(config: BenchConfig) -> ComplexityReport:

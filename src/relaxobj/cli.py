@@ -89,14 +89,9 @@ def _object_setup(args, workload):
     return bench.factory(obj, len(workload), args.k, args.m), spec
 
 
-def _config_echo(args, extra: str = "") -> str:
-    parts = [f"subcommand={args.command}", f"object={args.object}"]
-    for name in ("n", "k", "m", "seed"):
-        value = getattr(args, name, None)
-        parts.append(f"{name}={value if value is not None else '-'}")
-    if extra:
-        parts.append(extra)
-    return " ".join(parts)
+def _config_echo(args, **extra) -> str:
+    return bench.config_echo(subcommand=args.command, object=args.object, n=args.n,
+                             k=args.k, m=args.m, seed=args.seed, **extra)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -130,7 +125,7 @@ def cmd_check(args) -> int:
             first_invalid = history
     mode = "exhaustive" if args.exhaustive else f"random({args.random})"
     report = {
-        "config": _config_echo(args, f"mode={mode}"),
+        "config": _config_echo(args, mode=mode),
         "histories": sum(counts.values()),
         "valid": counts["valid"],
         "invalid": counts["invalid"],
@@ -180,8 +175,7 @@ def cmd_trace(args) -> int:
     factory, _ = _object_setup(args, workload)
     result = shmem.run(factory, workload, shmem.seeded(args.seed),
                        record_trace=True)
-    lines = [f"# config: {_config_echo(args)}"] if args.header else []
-    lines += shmem.trace_lines(result.trace)
+    lines = [f"# config: {_config_echo(args)}"] + shmem.trace_lines(result.trace)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -225,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="dump the per-step trace of one seeded run")
     common(trace)
     trace.add_argument("--ops", required=True, help="workload mini-language")
-    trace.add_argument("--no-header", dest="header", action="store_false",
-                       help="omit the config echo line")
     trace.set_defaults(func=cmd_trace)
     return parser
 

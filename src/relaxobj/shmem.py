@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import random
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator
@@ -273,9 +272,8 @@ class StepReport:
 
     per_op: list[list[int]] | None  # [proc][op ordinal] -> steps; None without history
     total_steps: int
-    op_count: int  # operations invoked
-    completed: dict[int, int]  # completed operations by step count
-    pending: list[int]  # steps so far of each operation still in progress
+    op_count: int  # operations invoked: completed plus in flight
+    histogram: dict[int, int]  # operations by step count, in-flight ones by steps so far
 
     @property
     def amortized(self) -> Fraction:
@@ -284,10 +282,7 @@ class StepReport:
         return Fraction(self.total_steps, self.op_count)
 
     def max_op_steps(self) -> int:
-        return max(self.histogram(), default=0)
-
-    def histogram(self) -> dict[int, int]:
-        return dict(Counter(self.completed) + Counter(self.pending))
+        return max(self.histogram, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +305,8 @@ class Runner:
         self.instance = instance
         self._ops = [iter(ops) for ops in workload]
         self.n = len(self._ops)
-        self._gens: list[Any] = [None] * self.n
-        self._armed: list[tuple | None] = [None] * self.n  # (name, request, steps so far)
+        # each process's in-flight operation: (gen, name, request, steps so far)
+        self._armed: list[tuple | None] = [None] * self.n
         self.active: list[int] = []  # pids with an armed access, arming order
         self.completed: dict[int, int] = {}  # completed operations by step count
         self.per_op = [[] for _ in range(self.n)] if record_history else None  # completed
@@ -333,8 +328,7 @@ class Runner:
             except StopIteration as stop:
                 self._respond(p, name, stop.value, 0)
                 continue
-            self._gens[p] = gen
-            self._armed[p] = (name, request, 0)
+            self._armed[p] = (gen, name, request, 0)
             self.active.append(p)
             return
 
@@ -346,27 +340,25 @@ class Runner:
         if self.events is not None:
             self.events.append(Event("respond", p, name, value, self.memory.steps))
 
-    def step(self, p: int) -> bool:
-        """Run one slot for process p; returns False for a skipped slot."""
+    def step(self, p: int) -> None:
+        """Run one slot for process p: its armed access, or a recorded skip."""
         self.slots += 1
         armed = self._armed[p]
         if armed is None:
             self.skipped.append((self.slots - 1, p))
-            return False
-        name, request, steps = armed
+            return
+        gen, name, request, steps = armed
         arg = request[2] if len(request) > 2 else None
         result = self.memory.access(p, request[1], request[0], arg)
         try:
-            nxt = self._gens[p].send(result)
+            nxt = gen.send(result)
         except StopIteration as stop:
             self._armed[p] = None
-            self._gens[p] = None
             self.active.remove(p)
             self._respond(p, name, stop.value, steps + 1)
             self._invoke_until_armed(p)
         else:
-            self._armed[p] = (name, nxt, steps + 1)
-        return True
+            self._armed[p] = (gen, name, nxt, steps + 1)
 
     def advance(self, pids, until_ops: int | None = None) -> bool:
         """Run one slot per pid; returns True once ``ops_completed >= until_ops``.
@@ -384,12 +376,16 @@ class Runner:
         return History(self.events if self.events is not None else [])
 
     def report(self) -> StepReport:
-        pending = [armed[2] for armed in self._armed if armed]
+        """Step accounting so far; each in-flight operation counts its steps so far."""
+        in_flight = [armed[3] for armed in self._armed if armed]
+        histogram = dict(self.completed)
+        for steps in in_flight:
+            histogram[steps] = histogram.get(steps, 0) + 1
         per_op = None if self.per_op is None else [
-            done + [armed[2]] if armed else done[:]
+            done + [armed[3]] if armed else done[:]
             for done, armed in zip(self.per_op, self._armed)]
-        invoked = self.ops_completed + len(pending)  # the rest hold an armed access
-        return StepReport(per_op, self.memory.steps, invoked, dict(self.completed), pending)
+        return StepReport(per_op, self.memory.steps, self.ops_completed + len(in_flight),
+                          histogram)
 
 
 # ---------------------------------------------------------------------------

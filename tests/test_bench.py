@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -135,22 +136,26 @@ def test_worst_case_exact_register_m_2_64():
     assert report.max_op_steps <= 64
 
 
-# (ops, total_steps, max_op_steps) per checkpoint, and the histogram where
-# pinned: a wrongly dealt or wrongly counted operation stream changes these
+# (ops, total_steps, max_op_steps, amortized) per checkpoint, and the
+# histogram where pinned: a wrongly dealt or wrongly counted operation
+# stream changes these.  ops counts completed operations, but amortized
+# divides by the operations invoked, so it pins the ones in flight too.
 PINNED = [
     (measure_amortized,
      BenchConfig(object="counter", n=16, k=4, total_ops=10**5, read_fraction=0.1, seed=1),
-     [(1013, 377, 9), (10006, 1495, 9), (100000, 10634, 9)],
+     [(1013, 377, 9, Fraction(377, 1029)), (10006, 1495, 9, Fraction(1495, 10022)),
+      (100000, 10634, 9, Fraction(5317, 50000))],
      {0: 89899, 1: 9837, 2: 131, 3: 27, 4: 88, 5: 10, 6: 6, 7: 1, 9: 1}),
     (measure_worst_case,
      BenchConfig(object="maxreg-exact", n=2, m=2**20, total_ops=10**4,
                  read_fraction=0.5, seed=1),
-     [(1000, 10819, 20), (10000, 110478, 20), (10001, 110498, 20)],
+     [(1000, 10819, 20, Fraction(10819, 1002)), (10000, 110478, 20, Fraction(110478, 10001)),
+      (10001, 110498, 20, Fraction(110498, 10001))],
      None),
     (measure_worst_case,
      BenchConfig(object="maxreg-approx", n=4, k=2, m=2**16, total_ops=3000,
                  read_fraction=0.3, seed=5),
-     [(1000, 3774, 5), (3001, 11366, 5)],
+     [(1000, 3774, 5, Fraction(1887, 502)), (3001, 11366, 5, Fraction(11366, 3001))],
      {1: 8, 2: 101, 3: 413, 4: 2478, 5: 1}),
 ]
 
@@ -159,7 +164,7 @@ PINNED = [
                          ids=["counter", "maxreg-exact", "maxreg-approx"])
 def test_pinned_outputs(measure, config, checkpoints, histogram):
     report = measure(config)
-    assert [(c.ops, c.total_steps, c.max_op_steps)
+    assert [(c.ops, c.total_steps, c.max_op_steps, c.amortized)
             for c in report.checkpoints] == checkpoints
     if histogram is not None:
         assert report.histogram == histogram

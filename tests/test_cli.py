@@ -245,10 +245,10 @@ def test_process_cap_usage_error(argv, capsys):
 def test_trace_counter_three_lines(tmp_path):
     out = tmp_path / "trace.txt"
     code = main(["trace", "--object", "counter", "--n", "1", "--k", "4",
-                 "--ops", "p0:inc,read", "--seed", "0", "--no-header",
-                 "--out", str(out)])
+                 "--ops", "p0:inc,read", "--seed", "0", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
+    header, *lines = out.read_text().strip().split("\n")
+    assert header.startswith("# config:")
     assert len(lines) == 3  # one test&set plus two reads
     assert lines[0].split("\t")[3] == "tas"
 
@@ -265,10 +265,10 @@ def test_trace_deterministic(tmp_path):
 def test_trace_maxreg_write_path(tmp_path):
     out = tmp_path / "trace.txt"
     code = main(["trace", "--object", "maxreg-exact", "--m", "8",
-                 "--ops", "p0:write(5)", "--seed", "0", "--no-header",
-                 "--out", str(out)])
+                 "--ops", "p0:write(5)", "--seed", "0", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
+    header, *lines = out.read_text().strip().split("\n")
+    assert header.startswith("# config:")
     # root-to-leaf access path: read below the split, then the two raises
     prims = [line.split("\t")[3] for line in lines]
     assert prims == ["read", "write", "write"]
@@ -282,4 +282,7 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:  # check reports JSON only
         main(["check", "--object", "counter", "--ops", "p0:read",
               "--exhaustive", "--format", "text"])
+    assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # every trace carries its config echo
+        main(["trace", "--object", "counter", "--ops", "p0:inc", "--no-header"])
     assert err.value.code == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -106,9 +107,14 @@ def test_replay_determinism():
 
 def test_step_conservation():
     factory = lambda mem: SpinInstance(mem)
-    result = run(factory, spin_workload(3, 5), seeded(7))
-    per_op_total = sum(sum(ops) for ops in result.report.per_op)
-    assert per_op_total == result.memory.steps == result.report.total_steps
+    # the truncated schedule leaves both operations in flight
+    for schedule in (seeded(7), explicit([0, 1, 1])):
+        result = run(factory, spin_workload(3, 5), schedule)
+        report = result.report
+        per_op_total = sum(sum(ops) for ops in report.per_op)
+        assert per_op_total == result.memory.steps == report.total_steps
+        assert report.histogram == Counter(steps for ops in report.per_op for steps in ops)
+        assert report.op_count == sum(report.histogram.values())
 
 
 @pytest.mark.parametrize("steps,expected", [((1, 1), 2), ((2, 2), 6), ((3, 3), 20)])

@@ -10,6 +10,7 @@ invalid, 2 usage error, 3 checks inconclusive only (state budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -107,11 +108,13 @@ def cmd_check(args) -> int:
     factory, spec = _object_setup(args, workload)
     if args.budget < 1:
         raise UsageError(f"--budget must be >= 1, not {args.budget}")
+    stats = {}
     if args.exhaustive:
-        histories = shmem.distinct_histories(factory, workload)
+        histories = shmem.distinct_histories(factory, workload, stats)
     elif args.random < 1:
         raise UsageError(f"--random must be >= 1, not {args.random}")
     else:
+        stats["leaves"] = args.random
         seeds = random.Random(args.seed)
         histories = (shmem.run(factory, workload,
                                shmem.seeded(seeds.randrange(2**62))).history
@@ -126,6 +129,7 @@ def cmd_check(args) -> int:
     mode = "exhaustive" if args.exhaustive else f"random({args.random})"
     report = {
         "config": _config_echo(args, mode=mode),
+        "leaves": stats["leaves"],
         "histories": sum(counts.values()),
         "valid": counts["valid"],
         "invalid": counts["invalid"],
@@ -180,18 +184,19 @@ def cmd_trace(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="relaxobj",
         description="relaxed wait-free shared objects: check, bench, trace")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_m=True):
+    def common(p):
         p.add_argument("--object", required=True, choices=tuple(bench.OBJECTS))
         p.add_argument("--n", type=int, default=None, help="process count")
         p.add_argument("--k", type=int, default=2, help="accuracy factor")
-        if with_m:
-            p.add_argument("--m", type=int, default=None, help="value bound (max registers)")
+        p.add_argument("--m", type=int, default=None, help="value bound (max registers)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -200,12 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--ops", required=True, help="workload, e.g. 'p0:inc,read;p1:inc'")
     mode = check.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true",
-                      help="enumerate every interleaving (desk scale only)")
+                      help="every interleaving, up to reordering of independent steps")
     mode.add_argument("--random", type=int, metavar="COUNT",
                       help="run COUNT seeded random schedules")
     check.add_argument("--budget", type=int, default=lincheck.DEFAULT_STATE_BUDGET,
                        help="checker state budget before 'inconclusive'")
-    check.set_defaults(func=cmd_check)
 
     bench_p = sub.add_parser("bench", help="measure step complexity or native throughput")
     common(bench_p)
@@ -214,20 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--native", action="store_true",
                          help="threads over locked cells; throughput only")
     bench_p.add_argument("--format", choices=("csv", "json"), default="json")
-    bench_p.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser("trace", help="dump the per-step trace of one seeded run")
     common(trace)
     trace.add_argument("--ops", required=True, help="workload mini-language")
-    trace.set_defaults(func=cmd_trace)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a patched ``cmd_*`` function takes effect
+        return globals()["cmd_" + args.command](args)
     except (UsageError, ValueError, OSError, RuntimeError) as err:
         # RuntimeError covers thread-spawn failure in native mode
         print(f"error: {err}", file=sys.stderr)

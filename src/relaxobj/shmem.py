@@ -448,16 +448,36 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
                      memory, instance, runner)
 
 
-def enumerate_interleavings(factory: Callable[[Memory], Any],
-                            workload) -> Iterator[RunResult]:
-    """Yield every distinct maximal interleaving of the workload exactly once.
+def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
+                            reduction: str | None = None) -> Iterator[RunResult]:
+    """Yield maximal interleavings of the workload, each exactly once.
 
     Interleavings branch on which process performs the next base-object
-    access.  The number of leaves grows combinatorially with the total
-    step count; keep workloads at desk scale.  Every leaf replays its
-    prefix from fresh memory, so the workload is turned into lists once.
+    access.  Every leaf replays its prefix from fresh memory, so the
+    workload is turned into lists once.  Leaves carry the full pid
+    ``schedule`` that replays them.
+
+    With ``reduction=None`` every interleaving is yielded.  Their number
+    grows combinatorially with the total step count; keep workloads at
+    desk scale.  With ``reduction="dpor"`` one interleaving per trace
+    class is yielded, by source-set and sleep-set dynamic partial-order
+    reduction (Abdulla et al., POPL 2014).  Two slots of different
+    processes are dependent when they touch the same cell and one of
+    them is a ``write`` or a ``tas``, or when both emit history events
+    (a response, or the invocations that follow it).  Reordering
+    independent slots changes no history signature and no per-operation
+    step count, so the reduced leaves still reach every history and
+    every per-operation step count of the full enumeration.
     """
     workload = [list(ops) for ops in workload]
+    if reduction == "dpor":
+        return _source_dpor(factory, workload)
+    if reduction is not None:
+        raise ValueError(f"unknown reduction {reduction!r}")
+    return _every_interleaving(factory, workload)
+
+
+def _every_interleaving(factory, workload) -> Iterator[RunResult]:
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
@@ -475,11 +495,134 @@ def enumerate_interleavings(factory: Callable[[Memory], Any],
                         memory, runner.instance, runner, schedule=prefix)
 
 
-def distinct_histories(factory: Callable[[Memory], Any], workload) -> list[History]:
-    """The first history seen for each signature over every interleaving, in order."""
+class _Node:
+    """A state on the reduced explorer's current path, and the slot taken from it."""
+
+    __slots__ = ("pid", "backtrack", "sleep")
+
+    def __init__(self, pid: int, sleep: dict[int, bool]) -> None:
+        self.pid = pid  # the process whose slot is being explored from here
+        self.backtrack = {pid}  # processes to explore from here
+        # processes whose slot from here needs no exploration, each with the
+        # emitted flag its slot had when it was explored
+        self.sleep = sleep
+
+
+def _dependent(a: tuple, b: tuple) -> bool:
+    """Whether two slots ``(pid, cell, primitive, emitted)`` of one execution fail to commute."""
+    return (a[0] == b[0] or (a[3] and b[3])
+            or (a[1] is b[1] and (a[2] != "read" or b[2] != "read")))
+
+
+def _source_dpor(factory, workload) -> Iterator[RunResult]:
+    """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
+
+    Each execution replays the current path from fresh memory, extends it
+    by the lowest-numbered process that is not asleep until no process is
+    armed (a leaf) or every armed one is asleep (a blocked execution, not
+    yielded), then adds the reversals of its races to the backtrack sets.
+    Cells are compared as objects of the current replay only.
+    """
+    path: list[_Node] = []
+    before: list[int] = []  # before[j]: bitmask of the slots that happen before slot j
+    while True:
+        memory = Memory()
+        runner = Runner(memory, factory(memory), workload)
+        slots: list[tuple] = []  # (pid, cell, primitive, emitted) of each slot run
+
+        def run_slot(p: int) -> None:
+            request = runner._armed[p][2]
+            events = len(runner.events)
+            runner.step(p)
+            slots.append((p, request[1], request[0], len(runner.events) > events))
+
+        for node in path:
+            run_slot(node.pid)
+        while True:
+            sleep = {}
+            if path:
+                last = slots[-1]
+                for q, emitted in path[-1].sleep.items():
+                    request = runner._armed[q][2]  # q has not moved since it fell asleep
+                    if not _dependent(last, (q, request[1], request[0], emitted)):
+                        sleep[q] = emitted
+            awake = [p for p in sorted(runner.active) if p not in sleep]
+            if not awake:
+                break
+            path.append(_Node(awake[0], sleep))
+            run_slot(awake[0])
+        _add_reversals(path, slots, before)
+        if not runner.active:
+            # built from a list, CPython takes the tuple from its free list;
+            # tuple(<generator>) would resize one and grow that list instead
+            yield RunResult(runner.history(), runner.report(), None, memory,
+                            runner.instance, runner,
+                            schedule=tuple([node.pid for node in path]))
+        while path:
+            node = path[-1]
+            node.sleep[node.pid] = slots[len(path) - 1][3]
+            pending = node.backtrack.difference(node.sleep)
+            if pending:
+                node.pid = min(pending)
+                del before[len(path) - 1:]  # the slots before node repeat next time
+                break
+            path.pop()
+        else:
+            return
+
+
+def _add_reversals(path: list[_Node], slots: list[tuple], before: list[int]) -> None:
+    """Race detection over one execution's slots from slot ``len(before)`` on.
+
+    ``before[j]`` is the bitmask of the slots that happen before slot j;
+    it is extended to every slot.  Slot i races with a later slot j of
+    another process when i happens before j with no slot in between.  To
+    reverse the race, the node before slot i needs a backtrack process
+    that can start the sequence v: the slots between i and j that do not
+    happen after i, then j.  Races whose both slots an earlier execution
+    ran were handled then.
+    """
+    for j in range(len(before), len(slots)):
+        slot = slots[j]
+        mask = covered = 0  # covered: slots that happen before j through another slot
+        for i in range(j - 1, -1, -1):
+            if not mask >> i & 1 and _dependent(slots[i], slot):
+                mask |= before[i] | 1 << i
+                covered |= before[i]
+        before.append(mask)
+        racing = mask & ~covered
+        for i in range(j):
+            if not racing >> i & 1 or slots[i][0] == slot[0]:
+                continue
+            v = [k for k in range(i + 1, j) if not before[k] >> i & 1] + [j]
+            v_mask = sum(1 << k for k in v)
+            initials, seen = set(), set()
+            for k in v:
+                p = slots[k][0]
+                if p not in seen:
+                    seen.add(p)
+                    if not before[k] & v_mask:
+                        initials.add(p)
+            node = path[i]
+            if not initials & node.backtrack:
+                node.backtrack.add(min(initials))
+
+
+def distinct_histories(factory: Callable[[Memory], Any], workload,
+                       stats: dict | None = None) -> list[History]:
+    """The first history seen for each signature, in exploration order.
+
+    Explores with ``reduction="dpor"``, which reaches every history of the
+    full enumeration.  If ``stats`` is given, ``stats["leaves"]`` is set to
+    the number of leaves explored.
+    """
     seen: dict[tuple, History] = {}
-    for result in enumerate_interleavings(factory, workload):
+    leaves = 0
+    for result in enumerate_interleavings(factory, workload, reduction="dpor"):
+        leaves += 1
         seen.setdefault(result.history.signature(), result.history)
+    if stats is not None:
+        stats["leaves"] = leaves
     return list(seen.values())
 
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxobj import shmem
+from relaxobj import bench, shmem
+from relaxobj.cli import parse_workload
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
-                            enumerate_interleavings, explicit, run, seeded,
-                            trace_lines)
+                            distinct_histories, enumerate_interleavings, explicit, run,
+                            seeded, trace_lines)
 from support import SpinInstance, spin_workload
 
 
@@ -140,6 +141,91 @@ def test_enumerate_workload_of_iterators_matches_lists():
                     enumerate_interleavings(factory, [iter(ops) for ops in workload])]
     assert as_iterators == as_lists
     assert len(as_lists) == 60  # 6! / (3! 2! 1!)
+
+
+def _explored(factory, workload, reduction):
+    """(leaves, {signature: {per-op step vectors}}, worst per-op steps) of one exploration."""
+    steps: dict[tuple, set] = {}
+    leaves = worst = 0
+    for result in enumerate_interleavings(factory, workload, reduction=reduction):
+        leaves += 1
+        report, signature = result.report, result.history.signature()
+        steps.setdefault(signature, set()).add(tuple(map(tuple, report.per_op)))
+        worst = max(worst, report.max_op_steps())
+        if reduction:  # a reduced leaf's schedule replays it too
+            assert run(factory, workload, result.schedule).history.signature() == signature
+    return leaves, steps, worst
+
+
+def _reduced_leaves_if_agreeing(factory, workload) -> int:
+    """Leaves of the reduced exploration, once it matches the full one."""
+    full = _explored(factory, workload, None)
+    reduced = _explored(factory, workload, "dpor")
+    assert reduced[1] == full[1]  # same histories, each with the same per-op steps
+    assert reduced[2] == full[2]
+    assert reduced[0] <= full[0]
+    return reduced[0]
+
+
+# (object, n, k, m, workload, leaves of the reduced exploration)
+ORACLE_WORKLOADS = {
+    "criterion 2": ("maxreg-exact", 2, 2, 8,
+                    "p0:write(5),write(3),read;p1:write(6),read,read", 68),
+    "criterion 3a": ("maxreg-approx", 2, 2, 256,
+                     "p0:write(16),write(250),read;p1:write(2),read,write(130)", 218),
+    "criterion 5a": ("counter", 2, 2, None, "p0:inc,inc,read,inc;p1:inc,read,inc,read", 166),
+    "exact three processes": ("maxreg-exact", 3, 2, 8, "p0:write(5),read;p1:write(7);p2:read",
+                              102),
+    "counter low count": ("counter", 4, 2, None, "p0:inc,inc;p1:inc;p2:inc;p3:inc,read",
+                          1194),
+    "counter three processes": ("counter", 3, 2, None,
+                                "p0:inc,read;p1:inc,read;p2:inc,read", 354),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_WORKLOADS)
+def test_dpor_agrees_with_full_enumeration(name):
+    obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
+    factory = bench.factory(obj, n, k, m)
+    assert _reduced_leaves_if_agreeing(factory, parse_workload(ops, n)) <= leaves
+
+
+@st.composite
+def _small_workloads(draw):
+    # m = 4 and m = 8 give two-level trees; with at most five operations in
+    # all, the full enumeration stays fast
+    obj, m = draw(st.sampled_from([("counter", None), ("maxreg-exact", 4),
+                                   ("maxreg-approx", 8)]))
+    if obj == "counter":
+        op = st.sampled_from([("inc", ()), ("read", ())])
+    else:
+        op = st.one_of(st.just(("read", ())),
+                       st.builds(lambda v: ("write", (v,)), st.integers(1, m - 1)))
+    workload = draw(st.lists(st.lists(op, min_size=1, max_size=3), min_size=2, max_size=3)
+                    .filter(lambda w: sum(map(len, w)) <= 5))
+    return obj, m, workload
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_workloads())
+def test_dpor_agrees_with_full_enumeration_on_small_workloads(case):
+    obj, m, workload = case
+    _reduced_leaves_if_agreeing(bench.factory(obj, len(workload), 2, m), workload)
+
+
+def test_distinct_histories_reproducible_and_counts_leaves():
+    factory = bench.factory("maxreg-approx", 2, 2, 256)
+    workload = parse_workload(ORACLE_WORKLOADS["criterion 3a"][4])
+    stats: dict = {}
+    first = [h.to_json() for h in distinct_histories(factory, workload, stats)]
+    assert stats == {"leaves": 218}
+    assert [h.to_json() for h in distinct_histories(factory, workload)] == first
+    assert len(first) == 38
+
+
+def test_unknown_reduction_rejected():
+    with pytest.raises(ValueError):
+        enumerate_interleavings(lambda mem: SpinInstance(mem), spin_workload(1), "por")
 
 
 def test_history_json_roundtrip():

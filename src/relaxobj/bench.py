@@ -257,7 +257,7 @@ def run_sequential(config: BenchConfig) -> list[list[Any]]:
     """
     memory = shmem.Memory()
     instance = _factory(config)(memory)
-    return [[drive(instance.program(pid, name, args), memory, pid) for name, args in ops]
+    return [[drive(instance.program(pid, name, args), memory) for name, args in ops]
             for pid, ops in enumerate(_workload(config))]
 
 
@@ -298,7 +298,7 @@ def run_native(config: BenchConfig) -> NativeReport:
         out = responses[pid]
         barrier.wait()
         for name, args in workload[pid]:
-            out.append(drive(instance.program(pid, name, args), memory, pid))
+            out.append(drive(instance.program(pid, name, args), memory))
 
     threads = [threading.Thread(target=worker, args=(p,)) for p in range(config.n)]
     start = time.perf_counter()

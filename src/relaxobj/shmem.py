@@ -58,17 +58,14 @@ class Cell:
 
 
 class Memory:
-    """Cell allocation plus atomic access with step accounting and tracing.
+    """Cell allocation plus atomic access with step accounting.
 
     ``steps`` counts every access ever performed; allocation is free.
-    With ``record_trace=True`` each access appends a tuple
-    ``(step_index, pid, oid, primitive, arg, result)`` to ``trace``.
     """
 
-    def __init__(self, record_trace: bool = False) -> None:
+    def __init__(self) -> None:
         self.cells: list[Cell] = []
         self.steps = 0
-        self.trace: list[tuple] | None = [] if record_trace else None
 
     def alloc(self, kind: str, initial: Any) -> Cell:
         if kind == TAS:
@@ -83,7 +80,7 @@ class Memory:
         self.cells.append(cell)
         return cell
 
-    def access(self, pid: int, cell: Cell, primitive: str, arg: Any = None) -> Any:
+    def access(self, primitive: str, cell: Cell, arg: Any = None) -> Any:
         if primitive == "read":
             result = cell.value
         elif primitive == "write":
@@ -100,8 +97,6 @@ class Memory:
             cell.value = 1
         else:
             raise IllegalAccess(f"unknown primitive {primitive!r}")
-        if self.trace is not None:
-            self.trace.append((self.steps, pid, cell.oid, primitive, arg, result))
         self.steps += 1
         return result
 
@@ -126,18 +121,17 @@ class NativeMemory(Memory):
             self.locks.append(threading.Lock())
         return cell
 
-    def access(self, pid: int, cell: Cell, primitive: str, arg: Any = None) -> Any:
+    def access(self, primitive: str, cell: Cell, arg: Any = None) -> Any:
         with self.locks[cell.oid]:
-            return Memory.access(self, pid, cell, primitive, arg)
+            return Memory.access(self, primitive, cell, arg)
 
 
-def drive(gen, memory: Memory, pid: int) -> Any:
+def drive(gen, memory: Memory) -> Any:
     """Run a step machine to completion, performing accesses immediately."""
     try:
         request = next(gen)
         while True:
-            arg = request[2] if len(request) > 2 else None
-            request = gen.send(memory.access(pid, request[1], request[0], arg))
+            request = gen.send(memory.access(*request))
     except StopIteration as stop:
         return stop.value
 
@@ -220,7 +214,7 @@ class History:
 
     def signature(self) -> tuple:
         """Hashable identity ignoring step indices (used to deduplicate)."""
-        return tuple((e.kind, e.proc, e.op, e.payload) for e in self.events)
+        return tuple([(e.kind, e.proc, e.op, e.payload) for e in self.events])
 
     def operations(self) -> list[OpRecord]:
         ops: list[OpRecord] = []
@@ -294,13 +288,16 @@ class Runner:
     """Drives step machines: one base-object access per scheduled slot.
 
     Each process pulls its next ``(name, args)`` operation from its own
-    iterable when it invokes it.  Without ``record_history`` the runner
-    keeps no events and no per-op step lists, only a step histogram.
+    iterable when it invokes it.  With ``record_history`` the runner keeps
+    the events, per-op step lists and ``schedule``, the pid of every slot
+    (skips included); without it, only a step histogram.  With
+    ``record_trace`` each access appends ``(step_index, pid, oid,
+    primitive, arg, result)`` to ``trace``.
     """
 
     def __init__(self, memory: Memory, instance: Any,
                  workload: list[Iterable[tuple[str, tuple]]],
-                 record_history: bool = True) -> None:
+                 record_history: bool = True, record_trace: bool = False) -> None:
         self.memory = memory
         self.instance = instance
         self._ops = [iter(ops) for ops in workload]
@@ -311,9 +308,9 @@ class Runner:
         self.completed: dict[int, int] = {}  # completed operations by step count
         self.per_op = [[] for _ in range(self.n)] if record_history else None  # completed
         self.events: list[Event] | None = [] if record_history else None
+        self.schedule: list[int] | None = [] if record_history else None
+        self.trace: list[tuple] | None = [] if record_trace else None
         self.ops_completed = 0
-        self.slots = 0
-        self.skipped: list[tuple[int, int]] = []  # (slot index, pid)
         for p in range(self.n):
             self._invoke_until_armed(p)
 
@@ -340,25 +337,29 @@ class Runner:
         if self.events is not None:
             self.events.append(Event("respond", p, name, value, self.memory.steps))
 
-    def step(self, p: int) -> None:
-        """Run one slot for process p: its armed access, or a recorded skip."""
-        self.slots += 1
+    def step(self, p: int) -> bool:
+        """Run one slot for p (its armed access or a skip); True if it completed p's op."""
+        if self.schedule is not None:
+            self.schedule.append(p)
         armed = self._armed[p]
         if armed is None:
-            self.skipped.append((self.slots - 1, p))
-            return
+            return False
         gen, name, request, steps = armed
         arg = request[2] if len(request) > 2 else None
-        result = self.memory.access(p, request[1], request[0], arg)
+        # positional arguments: in CPython 3.11 ``access(*request)`` is a slower call
+        result = self.memory.access(request[0], request[1], arg)
+        if self.trace is not None:
+            self.trace.append((self.memory.steps - 1, p, request[1].oid, request[0], arg,
+                               result))
         try:
-            nxt = gen.send(result)
+            self._armed[p] = (gen, name, gen.send(result), steps + 1)
         except StopIteration as stop:
             self._armed[p] = None
             self.active.remove(p)
             self._respond(p, name, stop.value, steps + 1)
             self._invoke_until_armed(p)
-        else:
-            self._armed[p] = (gen, name, nxt, steps + 1)
+            return True
+        return False
 
     def advance(self, pids, until_ops: int | None = None) -> bool:
         """Run one slot per pid; returns True once ``ops_completed >= until_ops``.
@@ -386,6 +387,14 @@ class Runner:
             for done, armed in zip(self.per_op, self._armed)]
         return StepReport(per_op, self.memory.steps, self.ops_completed + len(in_flight),
                           histogram)
+
+    def result(self) -> RunResult:
+        """The run so far, with the schedule that replays it if history is recorded."""
+        # built from a list, CPython takes the tuple from its free list;
+        # tuple(<generator>) would resize one and grow that list instead
+        schedule = None if self.schedule is None else tuple(self.schedule)
+        return RunResult(self.history(), self.report(), self.trace, self.memory,
+                         self.instance, self, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,7 @@ class RunResult:
     memory: Memory
     instance: Any
     runner: Runner
-    schedule: tuple[int, ...] | None = None
+    schedule: tuple[int, ...] | None  # the pid of every slot; None without history
 
 
 def run(factory: Callable[[Memory], Any], workload, schedule,
@@ -435,17 +444,15 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
     ``factory`` builds the object under test against a fresh Memory, and
     ``schedule`` is a pid sequence or a function such as :func:`seeded`
     returns.  Equal (workload, schedule) inputs yield identical histories,
-    reports and traces.  A slot scheduled for a process with nothing to
-    run is skipped and recorded, not fatal.
+    reports and traces; with history the result's ``schedule`` replays it.  A
+    slot for a process with nothing to run is skipped and recorded, not fatal.
     """
     if not callable(schedule):
         schedule = explicit(schedule)
-    memory = Memory(record_trace=record_trace)
-    instance = factory(memory)
-    runner = Runner(memory, instance, workload, record_history=record_history)
+    memory = Memory()
+    runner = Runner(memory, factory(memory), workload, record_history, record_trace)
     runner.advance(schedule(runner))
-    return RunResult(runner.history(), runner.report(), memory.trace,
-                     memory, instance, runner)
+    return runner.result()
 
 
 def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
@@ -480,19 +487,16 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
 def _every_interleaving(factory, workload) -> Iterator[RunResult]:
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        prefix = stack.pop()
         memory = Memory()
         runner = Runner(memory, factory(memory), workload)
-        runner.advance(prefix)
+        runner.advance(stack.pop())
         while runner.active:
             choices = sorted(runner.active)
             # alternatives are replayed later; the first choice continues here
             for p in reversed(choices[1:]):
-                stack.append(prefix + (p,))
+                stack.append((*runner.schedule, p))
             runner.step(choices[0])
-            prefix = prefix + (choices[0],)
-        yield RunResult(runner.history(), runner.report(), None,
-                        memory, runner.instance, runner, schedule=prefix)
+        yield runner.result()
 
 
 class _Node:
@@ -532,9 +536,8 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
 
         def run_slot(p: int) -> None:
             request = runner._armed[p][2]
-            events = len(runner.events)
-            runner.step(p)
-            slots.append((p, request[1], request[0], len(runner.events) > events))
+            # only a slot that completes an operation emits history events
+            slots.append((p, request[1], request[0], runner.step(p)))
 
         for node in path:
             run_slot(node.pid)
@@ -553,11 +556,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
             run_slot(awake[0])
         _add_reversals(path, slots, before)
         if not runner.active:
-            # built from a list, CPython takes the tuple from its free list;
-            # tuple(<generator>) would resize one and grow that list instead
-            yield RunResult(runner.history(), runner.report(), None, memory,
-                            runner.instance, runner,
-                            schedule=tuple([node.pid for node in path]))
+            yield runner.result()
         while path:
             node = path[-1]
             node.sleep[node.pid] = slots[len(path) - 1][3]

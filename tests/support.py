@@ -29,7 +29,7 @@ def spin_workload(*step_counts):
 
 def solo(instance, memory: Memory, ops, pid: int = 0):
     """Run ops sequentially for one process; returns the responses."""
-    return [drive(instance.program(pid, name, args), memory, pid)
+    return [drive(instance.program(pid, name, args), memory)
             for name, args in ops]
 
 

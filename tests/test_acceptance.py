@@ -58,11 +58,11 @@ def test_criterion_01_exact_maxreg_oracle_equivalence():
                 running = 0
                 for _ in range(10):
                     if rng.random() < 0.45:
-                        got = drive(register.program(0, "read", ()), memory, 0)
+                        got = drive(register.program(0, "read", ()), memory)
                         assert got == running
                     else:
                         v = rng.randrange(m)
-                        drive(register.program(0, "write", (v,)), memory, 0)
+                        drive(register.program(0, "write", (v,)), memory)
                         running = max(running, v)
                 for cell in switches:  # reset == fresh register
                     cell.value = 0
@@ -275,11 +275,11 @@ def test_criterion_07_counter_amortized_constancy():
 
 def test_criterion_08_counter_wait_freedom_under_starvation():
     with criterion("criterion 8 (counter wait-freedom under starvation)"):
-        memory = Memory(record_trace=True)
+        memory = Memory()
         counter = ApproxCounter(memory, 16, 2)
         workload = ([[("read", ())]] + [[("inc", ())] * 300_000]
                     + [[] for _ in range(14)])
-        runner = Runner(memory, counter, workload)
+        runner = Runner(memory, counter, workload, record_trace=True)
 
         # the incrementer keeps the ladder ahead of the reader
         while len(counter.set_indexes()) < 30:
@@ -311,7 +311,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
 
         # trace: the read returned via helping (final access is a pair read
         # of the announce array, not a ladder bit)
-        reader_steps = [t for t in memory.trace if t[1] == 0]
+        reader_steps = [t for t in runner.trace if t[1] == 0]
         announce_of = counter.announce_oid_to_proc()
         final = reader_steps[-1]
         assert final[3] == "read" and announce_of.get(final[2]) == 1
@@ -320,7 +320,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
         assert all(t[5] == 1 for t in reader_steps if t[2] in ladder)
         # and the rescuing process claimed >= 2 bits after the snapshot,
         # within the read's invocation..response window
-        claims = [t for t in memory.trace
+        claims = [t for t in runner.trace
                   if t[1] == 1 and t[3] == "tas" and t[5] == 0
                   and snapshot_step <= t[0] < respond_step]
         assert len(claims) >= 2

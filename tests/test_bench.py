@@ -206,11 +206,11 @@ def test_csv_and_json_reports():
 def test_native_memory_semantics():
     mem = NativeMemory()
     bit = mem.alloc("tas", 0)
-    assert mem.access(0, bit, "tas") == 0
-    assert mem.access(0, bit, "tas") == 1
+    assert mem.access("tas", bit) == 0
+    assert mem.access("tas", bit) == 1
     reg = mem.alloc("register", 0)
-    mem.access(0, reg, "write", 9)
-    assert mem.access(1, reg, "read") == 9
+    mem.access("write", reg, 9)
+    assert mem.access("read", reg) == 9
     with pytest.raises(ValueError):
         mem.alloc("tas", 1)
 

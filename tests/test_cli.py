@@ -151,6 +151,13 @@ def test_check_counter_rejects_write_op(capsys):
     assert code == 2
 
 
+def test_check_workload_beyond_declared_processes_usage_error(capsys):
+    code = main(["check", "--object", "counter", "--n", "1",
+                 "--ops", "p0:inc;p1:inc", "--exhaustive"])
+    assert code == 2
+    assert "only 1 processes declared" in capsys.readouterr().err
+
+
 def test_check_maxreg_requires_m(capsys):
     code = main(["check", "--object", "maxreg-exact", "--ops", "p0:read",
                  "--exhaustive"])
@@ -290,6 +297,18 @@ def test_trace_maxreg_write_path(tmp_path):
     # root-to-leaf access path: read below the split, then the two raises
     prims = [line.split("\t")[3] for line in lines]
     assert prims == ["read", "write", "write"]
+
+
+def test_trace_counter_pair_write_and_read(tmp_path):
+    out = tmp_path / "trace.txt"
+    code = main(["trace", "--object", "counter", "--n", "2", "--k", "2",
+                 "--ops", "p0:inc,inc,inc,inc,read;p1:inc,inc,read", "--seed", "5",
+                 "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().strip().split("\n")[1:]
+    # pair values print as comma-separated fields
+    assert lines[5] == "5\t1\t0\tread\t-\t0,0"
+    assert lines[8] == "8\t0\t0\twrite\t1,1\t-"
 
 
 def test_usage_error_exit_two():

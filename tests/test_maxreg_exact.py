@@ -185,7 +185,7 @@ def test_native_threads_share_lazily_allocated_switches():
 
         def writer(pid, v):
             barrier.wait()
-            drive(reg.program(pid, "write", (v,)), memory, pid)
+            drive(reg.program(pid, "write", (v,)), memory)
 
         values = (7, 5) if trial % 2 == 0 else (5, 7)
         threads = [threading.Thread(target=writer, args=(pid, v))
@@ -195,4 +195,4 @@ def test_native_threads_share_lazily_allocated_switches():
         for t in threads:
             t.join(timeout=10)
             assert not t.is_alive()
-        assert drive(reg.program(0, "read", ()), memory, 0) == 7
+        assert drive(reg.program(0, "read", ()), memory) == 7

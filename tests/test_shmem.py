@@ -36,14 +36,14 @@ def test_access_semantics_and_step_charging():
     bit = mem.alloc("tas", 0)
     reg = mem.alloc("register", 0)
     pair = mem.alloc("pair", (0, 0))
-    assert mem.access(0, bit, "tas") == 0
+    assert mem.access("tas", bit) == 0
     assert bit.value == 1
-    assert mem.access(0, bit, "tas") == 1  # stays set
+    assert mem.access("tas", bit) == 1  # stays set
     assert bit.value == 1
-    assert mem.access(1, reg, "write", 5) is None
-    assert mem.access(1, reg, "read") == 5
-    mem.access(0, pair, "write", (3, 4))
-    assert mem.access(0, pair, "read") == (3, 4)
+    assert mem.access("write", reg, 5) is None
+    assert mem.access("read", reg) == 5
+    mem.access("write", pair, (3, 4))
+    assert mem.access("read", pair) == (3, 4)
     assert mem.steps == 6
 
 
@@ -54,11 +54,13 @@ def test_illegal_primitive_kind_combinations(memory_class):
     bit = mem.alloc("tas", 0)
     reg = mem.alloc("register", 0)
     with pytest.raises(IllegalAccess):
-        mem.access(0, reg, "tas")
+        mem.access("tas", reg)
     with pytest.raises(IllegalAccess):
-        mem.access(0, bit, "write", 1)
+        mem.access("write", bit, 1)
     with pytest.raises(IllegalAccess):
-        mem.access(0, reg, "frobnicate")
+        mem.access("frobnicate", reg)
+    with pytest.raises(IllegalAccess):
+        mem.access("write", mem.alloc("pair", (0, 0)), (1, 2, 3))
     with pytest.raises(ValueError):
         mem.alloc("tas", 1)
     with pytest.raises(ValueError):
@@ -89,9 +91,40 @@ def test_sequential_schedule_completes_both_processes():
 
 def test_skipped_slots_recorded_not_fatal():
     factory = lambda mem: SpinInstance(mem)
-    result = run(factory, spin_workload(1, 1), explicit([0, 0, 0, 1]))
-    assert result.runner.skipped == [(1, 0), (2, 0)]
+    result = run(factory, spin_workload(1, 1), explicit([0, 0, 0, 1]),
+                 record_trace=True)
+    assert result.schedule == (0, 0, 0, 1)
+    assert [t[1] for t in result.trace] == [0, 1]  # slots 1 and 2 ran nothing
     assert result.report.total_steps == 2
+
+
+REPLAY_CASES = {
+    **{f"counter seed {seed}": (bench.factory("counter", 2, 2, None),
+                                parse_workload("p0:inc,inc,read;p1:inc,read"), seeded(seed))
+       for seed in range(5)},
+    # slots 1 and 2 find process 0 with nothing to run
+    "skipped slots": (lambda mem: SpinInstance(mem), spin_workload(1, 1),
+                      explicit([0, 0, 0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", REPLAY_CASES)
+def test_run_schedule_replays_the_run(name):
+    factory, workload, schedule = REPLAY_CASES[name]
+    first = run(factory, workload, schedule, record_trace=True)
+    again = run(factory, workload, first.schedule, record_trace=True)
+    assert again.schedule == first.schedule
+    assert again.trace == first.trace
+    assert again.history.signature() == first.history.signature()
+    assert again.report == first.report
+
+
+def test_run_without_history_keeps_no_per_slot_list():
+    # bench records no history, so its runs of 10^6 ops keep no schedule
+    result = run(lambda mem: SpinInstance(mem), spin_workload(2, 1), seeded(1),
+                 record_history=False)
+    assert result.runner.schedule is None and result.schedule is None
+    assert result.report.total_steps == 3
 
 
 def test_replay_determinism():
@@ -236,6 +269,17 @@ def test_history_json_roundtrip():
     assert all(doc["type"] in ("invoke", "respond") for doc in parsed)
     back = History.from_json(text)
     assert back.signature() == result.history.signature()
+
+
+@pytest.mark.parametrize("events", [
+    [{"type": "invoke", "proc": 0, "op": "inc"}, {"type": "invoke", "proc": 0, "op": "inc"}],
+    [{"type": "respond", "proc": 0, "op": "inc", "ret": None}],
+    [{"type": "invoke", "proc": 0, "op": "inc"}, {"type": "cancel", "proc": 0, "op": "inc"}],
+], ids=["double invoke", "unmatched response", "unknown kind"])
+def test_malformed_history_operations_rejected(events):
+    history = History.from_json(json.dumps(events))
+    with pytest.raises(ValueError):
+        history.operations()
 
 
 def test_trace_format():

@@ -131,7 +131,9 @@ def drive(gen, memory: Memory) -> Any:
     try:
         request = next(gen)
         while True:
-            request = gen.send(memory.access(*request))
+            # positional arguments: in CPython 3.11 ``access(*request)`` is a slower call
+            request = gen.send(memory.access(request[0], request[1],
+                                             request[2] if len(request) > 2 else None))
     except StopIteration as stop:
         return stop.value
 
@@ -470,11 +472,26 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     class is yielded, by source-set and sleep-set dynamic partial-order
     reduction (Abdulla et al., POPL 2014).  Two slots of different
     processes are dependent when they touch the same cell and one of
-    them is a ``write`` or a ``tas``, or when both emit history events
-    (a response, or the invocations that follow it).  Reordering
-    independent slots changes no history signature and no per-operation
-    step count, so the reduced leaves still reach every history and
-    every per-operation step count of the full enumeration.
+    them changes the cell's value, or when both emit history events (a
+    response, or the invocations that follow it).  Whether a slot changes
+    its cell is decided on the state before it runs: a ``write`` of the
+    value the cell holds, or a ``tas`` on a set bit, counts as a read
+    (the refined dependency of Godefroid & Pirottin, CAV 1993).  This
+    relation is sound:
+
+    1. A non-modifying access returns what a read would return, and
+       leaves the state as a read would.
+    2. Every modifying access to a cell depends on every other access to
+       that cell.  So in every member of a trace class the same modifying
+       access is the last one before a given slot, and the slot gets the
+       same classification in each member.
+    3. So swapping adjacent independent slots within a class still
+       preserves history signatures and per-operation step counts, and
+       the reduced leaves reach every history and every per-operation
+       step count of the full enumeration.
+    4. A sleeping process's cell is modified by no slot that is
+       independent of its pending slot, so that slot keeps the
+       classification it had when the process fell asleep.
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
@@ -512,8 +529,21 @@ class _Node:
         self.sleep = sleep
 
 
+def _effect(request: tuple) -> str:
+    """The primitive that a request counts as for dependence, in the state before it runs.
+
+    A ``write`` of the value its cell already holds, or a ``tas`` on a set
+    bit, changes nothing: it returns what a read would and leaves the state
+    as a read would, so it counts as a ``"read"``.
+    """
+    primitive, value = request[0], request[1].value
+    if primitive == "write" and request[2] == value or primitive == "tas" and value == 1:
+        return "read"
+    return primitive
+
+
 def _dependent(a: tuple, b: tuple) -> bool:
-    """Whether two slots ``(pid, cell, primitive, emitted)`` of one execution fail to commute."""
+    """Whether two slots ``(pid, cell, effect, emitted)`` of one execution fail to commute."""
     return (a[0] == b[0] or (a[3] and b[3])
             or (a[1] is b[1] and (a[2] != "read" or b[2] != "read")))
 
@@ -526,18 +556,40 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
     armed (a leaf) or every armed one is asleep (a blocked execution, not
     yielded), then adds the reversals of its races to the backtrack sets.
     Cells are compared as objects of the current replay only.
+
+    Dependence is value-aware: :func:`_effect` classifies each slot on the
+    state before it runs, once for every executed slot that goes into race
+    detection and once for every sleeping process's pending request.  It
+    is sound because:
+
+    1. A non-modifying access returns what a read would return, and leaves
+       the state as a read would, so it commutes with every other
+       non-modifying access to its cell.
+    2. Every modifying access to a cell depends on every other access to
+       that cell.  So in every member of a trace class the same modifying
+       access is the last one before a given slot, the cell holds the same
+       value when the slot runs, and the slot gets the same classification
+       in each member.
+    3. So swaps within a class still preserve history signatures and
+       per-operation step counts, as with a static relation.
+    4. A sleeping process's cell is modified by no slot that is
+       independent of its pending slot: a modifying slot on that cell
+       would be dependent.  So its classification now equals the one it
+       had when it fell asleep, and it stays asleep exactly as long as
+       the slots run since then are independent of that one.
     """
     path: list[_Node] = []
     before: list[int] = []  # before[j]: bitmask of the slots that happen before slot j
     while True:
         memory = Memory()
         runner = Runner(memory, factory(memory), workload)
-        slots: list[tuple] = []  # (pid, cell, primitive, emitted) of each slot run
+        slots: list[tuple] = []  # (pid, cell, effect, emitted) of each slot run
 
         def run_slot(p: int) -> None:
             request = runner._armed[p][2]
+            effect = _effect(request)  # before the step can change the cell
             # only a slot that completes an operation emits history events
-            slots.append((p, request[1], request[0], runner.step(p)))
+            slots.append((p, request[1], effect, runner.step(p)))
 
         for node in path:
             run_slot(node.pid)
@@ -547,7 +599,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
                 last = slots[-1]
                 for q, emitted in path[-1].sleep.items():
                     request = runner._armed[q][2]  # q has not moved since it fell asleep
-                    if not _dependent(last, (q, request[1], request[0], emitted)):
+                    if not _dependent(last, (q, request[1], _effect(request), emitted)):
                         sleep[q] = emitted
             awake = [p for p in sorted(runner.active) if p not in sleep]
             if not awake:

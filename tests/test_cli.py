@@ -47,13 +47,13 @@ def test_check_counter_exhaustive_exit_zero(capsys):
 
 
 def test_check_exhaustive_reports_leaves_explored(capsys):
-    # criterion 3a: one leaf per trace class, 218 of the 45,330 interleavings
+    # criterion 3a: one leaf per trace class, 103 of the 45,330 interleavings
     code = main(["check", "--object", "maxreg-approx", "--n", "2", "--k", "2",
                  "--m", "256", "--ops", "p0:write(16),write(250),read;"
                  "p1:write(2),read,write(130)", "--exhaustive"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert (doc["leaves"], doc["histories"], doc["valid"]) == (218, 38, 38)
+    assert (doc["leaves"], doc["histories"], doc["valid"]) == (103, 38, 38)
 
 
 def test_check_random_reports_one_leaf_per_run(capsys):

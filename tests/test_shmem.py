@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaxobj import bench, shmem
+from relaxobj import bench, check, counter_spec, shmem
 from relaxobj.cli import parse_workload
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
                             distinct_histories, enumerate_interleavings, explicit, run,
@@ -203,16 +203,22 @@ def _reduced_leaves_if_agreeing(factory, workload) -> int:
 # (object, n, k, m, workload, leaves of the reduced exploration)
 ORACLE_WORKLOADS = {
     "criterion 2": ("maxreg-exact", 2, 2, 8,
-                    "p0:write(5),write(3),read;p1:write(6),read,read", 68),
+                    "p0:write(5),write(3),read;p1:write(6),read,read", 44),
     "criterion 3a": ("maxreg-approx", 2, 2, 256,
-                     "p0:write(16),write(250),read;p1:write(2),read,write(130)", 218),
-    "criterion 5a": ("counter", 2, 2, None, "p0:inc,inc,read,inc;p1:inc,read,inc,read", 166),
+                     "p0:write(16),write(250),read;p1:write(2),read,write(130)", 103),
+    "criterion 5a": ("counter", 2, 2, None, "p0:inc,inc,read,inc;p1:inc,read,inc,read", 71),
     "exact three processes": ("maxreg-exact", 3, 2, 8, "p0:write(5),read;p1:write(7);p2:read",
-                              102),
+                              68),
     "counter low count": ("counter", 4, 2, None, "p0:inc,inc;p1:inc;p2:inc;p3:inc,read",
-                          1194),
+                          202),
     "counter three processes": ("counter", 3, 2, None,
-                                "p0:inc,read;p1:inc,read;p2:inc,read", 354),
+                                "p0:inc,read;p1:inc,read;p2:inc,read", 90),
+    # two writes of 3 set the same switches, the later one without changing them
+    "exact same-value writes": ("maxreg-exact", 3, 2, 4,
+                                "p0:write(3),read;p1:write(3);p2:write(2)", 48),
+    # four increments race for ladder bit 0 and the one unit bit; each loser's tas finds a set bit
+    "counter one unit bit": ("counter", 5, 2, None, "p0:inc;p1:inc;p2:inc;p3:inc;p4:read",
+                             120),
 }
 
 
@@ -220,7 +226,21 @@ ORACLE_WORKLOADS = {
 def test_dpor_agrees_with_full_enumeration(name):
     obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
     factory = bench.factory(obj, n, k, m)
-    assert _reduced_leaves_if_agreeing(factory, parse_workload(ops, n)) <= leaves
+    assert _reduced_leaves_if_agreeing(factory, parse_workload(ops, n)) == leaves
+
+
+def test_effect_classifies_accesses_that_change_nothing_as_reads():
+    mem = Memory()
+    reg, pair, bit = mem.alloc("register", 5), mem.alloc("pair", (1, 2)), mem.alloc("tas", 0)
+    assert shmem._effect(("read", reg)) == "read"
+    assert shmem._effect(("write", reg, 5)) == "read"
+    assert shmem._effect(("write", reg, 6)) == "write"
+    assert shmem._effect(("write", pair, (1, 2))) == "read"
+    assert shmem._effect(("write", pair, (2, 1))) == "write"
+    assert shmem._effect(("tas", bit)) == "tas"
+    mem.access("tas", bit)
+    assert shmem._effect(("tas", bit)) == "read"
+    assert mem.steps == 1  # classifying a request performs no access
 
 
 @st.composite
@@ -251,9 +271,21 @@ def test_distinct_histories_reproducible_and_counts_leaves():
     workload = parse_workload(ORACLE_WORKLOADS["criterion 3a"][4])
     stats: dict = {}
     first = [h.to_json() for h in distinct_histories(factory, workload, stats)]
-    assert stats == {"leaves": 218}
+    assert stats == {"leaves": 103}
     assert [h.to_json() for h in distinct_histories(factory, workload)] == first
     assert len(first) == 38
+
+
+def test_dpor_reaches_three_process_counter():
+    # the full enumeration of this workload does not finish in 100 s
+    factory = bench.factory("counter", 3, 2, None)
+    stats: dict = {}
+    histories = distinct_histories(factory, parse_workload(
+        "p0:inc,inc,read;p1:inc,inc,read;p2:inc,inc,read"), stats)
+    assert stats == {"leaves": 2808}
+    assert len(histories) == 780
+    spec = counter_spec(2)
+    assert all(check(h, spec).valid for h in histories)
 
 
 def test_unknown_reduction_rejected():

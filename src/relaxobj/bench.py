@@ -210,8 +210,9 @@ def _measure(config: BenchConfig, workload) -> ComplexityReport:
     for mark in CHECKPOINTS:
         if mark > config.total_ops:
             break
-        # one slot may complete enough operations to cross several marks
-        if runner.ops_completed < mark and not runner.advance(slots, until_ops=mark):
+        # one slot may complete enough operations to cross several marks;
+        # advance then runs no slot for the later ones
+        if not runner.advance(slots, until_ops=mark):
             break
         checkpoints.append(_checkpoint(runner))
     runner.advance(slots)

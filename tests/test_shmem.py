@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from relaxobj import bench, check, counter_spec, shmem
 from relaxobj.cli import parse_workload
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
-                            distinct_histories, enumerate_interleavings, explicit, run,
-                            seeded, trace_lines)
+                            Runner, distinct_histories, enumerate_interleavings, explicit,
+                            run, seeded, trace_lines)
 from support import SpinInstance, spin_workload
 
 
@@ -137,6 +138,46 @@ def test_replay_determinism():
     assert a.report == b.report
     c = run(factory, workload, seeded(43), record_trace=True)
     assert c.trace != a.trace
+
+
+def test_seeded_picks_as_random_choice_does():
+    # Random.choice is the reference for the inlined draw; the five spins end
+    # at different times, so the active list takes every length from 5 to 1
+    lengths = set()
+    for seed in range(60):
+        memory = Memory()
+        runner = Runner(memory, SpinInstance(memory), spin_workload(2, 4, 6, 9, 13))
+        reference = random.Random(seed)
+        for p in seeded(seed)(runner):
+            lengths.add(len(runner.active))
+            assert p == reference.choice(runner.active)
+            runner.step(p)
+        assert memory.steps == 34
+    assert lengths == {1, 2, 3, 4, 5}
+
+
+def _advance_runner(pids):
+    memory = Memory()
+    runner = Runner(memory, SpinInstance(memory), spin_workload(1, 2, 1))
+    return runner, iter(pids)
+
+
+def test_advance_with_target_met_runs_no_slot():
+    runner, pids = _advance_runner([0, 1])
+    assert runner.advance(pids, until_ops=0)
+    assert runner.schedule == [] and runner.memory.steps == 0
+    assert next(pids) == 0
+
+
+def test_advance_stops_at_the_completing_slot_and_resumes():
+    runner, pids = _advance_runner([0, 1, 2, 1, 0])
+    # slot 0 completes an operation short of the target; slot 2 reaches it
+    assert runner.advance(pids, until_ops=2)
+    assert runner.schedule == [0, 1, 2] and runner.ops_completed == 2
+    assert runner.advance(pids, until_ops=3)
+    assert runner.schedule == [0, 1, 2, 1] and runner.ops_completed == 3
+    assert not runner.advance(pids, until_ops=4)  # the last slot is a skip
+    assert runner.schedule == [0, 1, 2, 1, 0]
 
 
 def test_step_conservation():

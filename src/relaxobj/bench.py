@@ -150,37 +150,48 @@ class ComplexityReport:
         return "\n".join(lines) + "\n"
 
 
-def _operations(config: BenchConfig) -> Iterator[tuple]:
-    """The seeded global operation sequence, drawn one operation at a time."""
-    rng = random.Random(config.seed)
-    for _ in range(config.total_ops):
-        if rng.random() < config.read_fraction:
-            yield _OP_READ
-        elif config.object == "counter":
-            yield _OP_INC
-        else:
-            yield ("write", (rng.randrange(1, config.m),))
+#: operations drawn per dealt block, rounded down to whole rounds of n (at least one)
+_BLOCK_OPS = 1024
 
 
 def _workload(config: BenchConfig) -> list[Iterator[tuple]]:
     """One operation stream per process: process p's j-th is global op j*n + p.
 
-    Operations are drawn a round of n at a time, when a process has used
-    up its deque; a deque holds only the operations drawn ahead for it.
+    The seeded global sequence is drawn a block of whole rounds at a time,
+    when some process has used up the operations dealt to it, and each
+    process's share of a block (every n-th op from its pid) is queued for
+    it.  A stream chains its dealt lists, so taking the next operation
+    resumes no Python generator; only the operations drawn ahead of a
+    process stay buffered.
     """
-    ops = _operations(config)
-    queues: list[deque] = [deque() for _ in range(config.n)]
+    n, total = config.n, config.total_ops
+    rng = random.Random(config.seed)
+    draw, randrange = rng.random, rng.randrange
+    read_fraction, m = config.read_fraction, config.m
+    size = max(1, _BLOCK_OPS // n) * n
 
-    def stream(queue: deque) -> Iterator[tuple]:
+    def block(count: int) -> list[tuple]:
+        # per op: one draw, then a value draw for a write, as in one global loop
+        if config.object == "counter":
+            return [_OP_READ if draw() < read_fraction else _OP_INC
+                    for _ in range(count)]
+        return [_OP_READ if draw() < read_fraction else ("write", (randrange(1, m),))
+                for _ in range(count)]
+
+    blocks = (block(min(size, total - start)) for start in range(0, total, size))
+    queues: list[deque] = [deque() for _ in range(n)]
+
+    def dealt(queue: deque) -> Iterator[list[tuple]]:
         while True:
             while queue:
                 yield queue.popleft()
-            for q, op in zip(queues, ops):  # deal one round: an op to each queue, pid order
-                q.append(op)
-            if not queue:
+            ops = next(blocks, None)
+            if ops is None:
                 return
+            for p, q in enumerate(queues):  # a block starts at a multiple of n
+                q.append(ops[p::n])
 
-    return [stream(queue) for queue in queues]
+    return [itertools.chain.from_iterable(dealt(queue)) for queue in queues]
 
 
 def factory(obj: str, n: int, k: int, m: int | None):

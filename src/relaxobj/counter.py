@@ -14,7 +14,11 @@ its threshold, walking at most the k bits of that interval.  Claiming a
 bit resets the private count and publishes (bit index, sequence number)
 in the announce array; exhausting the interval without a claim means
 enough other announcements happened that the batch can be abandoned to
-the error margin, and the threshold grows by a factor k.
+the error margin, and the threshold grows by a factor k.  A private
+increment is not a step machine: ``program`` counts it and returns
+``None``, an operation already complete with no step taken.  Only the
+increment that reaches ``limit`` gets a step machine, the one that
+publishes.
 
 While only bit 0 is set, the winner of bit 0 and every loser can each
 keep up to k-1 completed increments private, 1 + n(k-1) in all, and a
@@ -112,17 +116,18 @@ class ApproxCounter:
         if not 0 <= pid < self.n:
             raise ValueError(f"process id {pid} outside [0, {self.n})")
         if op == "inc":
-            return self._inc(pid)
+            st = self.states[pid]
+            st.lcounter += 1
+            if st.lcounter != st.limit:
+                return None  # a private increment: complete, no step taken
+            return self._publish(pid)
         if op == "read":
             return self._read(pid)
         raise ValueError(f"unknown operation {op!r}")
 
-    def _inc(self, pid: int):
+    def _publish(self, pid: int):
         st = self.states[pid]
         k = self.k
-        st.lcounter += 1
-        if st.lcounter != st.limit:
-            return
         j = st.limit_exp  # limit == k**j == lcounter
         if j > 0:
             for index in range((j - 1) * k + st.l0, j * k + 1):

@@ -6,7 +6,10 @@ hold an ``(int, int)`` tuple read and written as a single atomic unit.
 
 Operations are expressed as *step machines*: generator functions that
 yield one access request per resumption and eventually ``return`` the
-operation's response.  A request is a tuple:
+operation's response.  An object's ``program(pid, op, args)`` returns the
+operation's step machine, or ``None`` for an operation that has already
+completed, with response ``None`` and no step taken (the counter's
+private increments).  A request is a tuple:
 
     ("read", cell)           -> current value
     ("write", cell, value)   -> None
@@ -20,8 +23,9 @@ one step machine to completion instead: over :class:`Memory` for
 sequential reference runs, or over :class:`NativeMemory` from threads.
 
 Invocations are eager: at start-up, and whenever an operation completes,
-the owning process immediately invokes its next operations, running any
-access-free ones to completion, until an operation arms an access.  A
+the owning process immediately invokes its next operations, completing
+any access-free ones (``None``, or a step machine that returns before its
+first request) with zero steps, until an operation arms an access.  A
 scheduled slot then executes exactly one armed access.
 """
 
@@ -127,7 +131,12 @@ class NativeMemory(Memory):
 
 
 def drive(gen, memory: Memory) -> Any:
-    """Run a step machine to completion, performing accesses immediately."""
+    """Run a step machine to completion, performing accesses immediately.
+
+    ``gen`` may be ``None``, an operation that ``program`` already completed.
+    """
+    if gen is None:
+        return None
     try:
         request = next(gen)
         while True:
@@ -317,19 +326,34 @@ class Runner:
             self._invoke_until_armed(p)
 
     def _invoke_until_armed(self, p: int) -> None:
-        # Access-free operations complete in full at invocation time.
+        # Access-free operations complete in full at invocation time, with
+        # zero steps.  No access runs here, so the step count is bound once.
+        # ``instance.program(...)`` is called as a method: binding the method
+        # itself would allocate one per call, and in exploration most calls
+        # invoke one operation.
+        events, instance, steps = self.events, self.instance, self.memory.steps
+        done = 0
         for name, args in self._ops[p]:
-            if self.events is not None:
-                self.events.append(Event("invoke", p, name, tuple(args), self.memory.steps))
-            gen = self.instance.program(p, name, args)
-            try:
-                request = next(gen)
-            except StopIteration as stop:
-                self._respond(p, name, stop.value, 0)
-                continue
-            self._armed[p] = (gen, name, request, 0)
-            self.active.append(p)
-            return
+            if events is not None:
+                events.append(Event("invoke", p, name, tuple(args), steps))
+            gen = instance.program(p, name, args)
+            if gen is None:
+                value = None
+            else:
+                try:
+                    self._armed[p] = (gen, name, next(gen), 0)
+                except StopIteration as stop:
+                    value = stop.value
+                else:
+                    self.active.append(p)
+                    break
+            done += 1
+            if events is not None:  # per_op is kept exactly when events are
+                self.per_op[p].append(0)
+                events.append(Event("respond", p, name, value, steps))
+        if done:
+            self.ops_completed += done
+            self.completed[0] = self.completed.get(0, 0) + done
 
     def _respond(self, p: int, name: str, value: Any, steps: int) -> None:
         self.ops_completed += 1

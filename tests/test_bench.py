@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from relaxobj import bench
 from relaxobj.bench import (MAX_PROCESSES, BenchConfig, NativeMemory,
                             measure_amortized, measure_worst_case, run_native,
                             run_sequential)
@@ -250,3 +252,57 @@ def test_native_maxreg_single_thread_matches_sequential():
     config = BenchConfig(object="maxreg-approx", n=1, k=2, m=1024,
                          total_ops=500, read_fraction=0.4, seed=5, mode="native")
     assert run_native(config).responses == run_sequential(config)
+
+
+def _dealt_reference(config):
+    """The global sequence drawn eagerly, op j dealt to process j mod n."""
+    rng = random.Random(config.seed)
+    ops = []
+    for _ in range(config.total_ops):
+        if rng.random() < config.read_fraction:
+            ops.append(("read", ()))
+        elif config.object == "counter":
+            ops.append(("inc", ()))
+        else:
+            ops.append(("write", (rng.randrange(1, config.m),)))
+    return [ops[p::config.n] for p in range(config.n)]
+
+
+def _drain_round_robin(streams):
+    out = [[] for _ in streams]
+    live = list(range(len(streams)))
+    while live:
+        for p in list(live):
+            op = next(streams[p], None)
+            if op is None:
+                live.remove(p)
+            else:
+                out[p].append(op)
+    return out
+
+
+BLOCK = bench._BLOCK_OPS
+
+
+@pytest.mark.parametrize("config", [
+    BenchConfig(object="counter", n=16, k=4, total_ops=BLOCK // 2 + 3, seed=1),
+    BenchConfig(object="counter", n=3, total_ops=3 * BLOCK + 1, read_fraction=0.3,
+                seed=2),
+    BenchConfig(object="counter", n=1, total_ops=2 * BLOCK + 5, seed=3),
+    BenchConfig(object="counter", n=2 * BLOCK + 1, total_ops=5 * BLOCK, seed=4),
+    BenchConfig(object="maxreg-exact", n=7, m=1000, total_ops=2 * BLOCK + 11,
+                read_fraction=0.4, seed=5),
+    BenchConfig(object="maxreg-exact", n=5, m=2, total_ops=BLOCK - 2, seed=6),
+    BenchConfig(object="maxreg-approx", n=4, k=2, m=256, total_ops=BLOCK + 3,
+                read_fraction=0.5, seed=7),
+    BenchConfig(object="maxreg-approx", n=1, k=3, m=100, total_ops=BLOCK // 3,
+                seed=8),
+], ids=["counter-below-block", "counter-above-block", "counter-n1",
+        "counter-n-above-block", "exact-above-block", "exact-below-block",
+        "approx-above-block", "approx-n1"])
+def test_workload_deals_the_global_sequence(config):
+    # the dealer draws in blocks; every op lands where an eager draw puts it,
+    # however the processes take their streams
+    reference = _dealt_reference(config)
+    assert _drain_round_robin(bench._workload(config)) == reference
+    assert [list(ops) for ops in bench._workload(config)] == reference

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
 from relaxobj import check, counter_spec, return_value, run, seeded, explicit
 from relaxobj.counter import ApproxCounter
-from relaxobj.shmem import Memory
+from relaxobj.shmem import Memory, drive
 from support import random_counter_workload, solo
 
 INC = ("inc", ())
@@ -256,3 +257,77 @@ def test_validation():
         counter.program(2, "inc", ())
     with pytest.raises(ValueError):
         counter.program(0, "decrement", ())
+
+
+def test_private_increment_is_not_a_step_machine():
+    # program returns None exactly when the increment stays below the
+    # announce threshold, and the publishing step machine when it reaches it
+    mem = Memory()
+    counter = ApproxCounter(mem, 3, 2)
+    published = 0
+    for i in range(300):
+        pid = i % 3
+        st = counter.states[pid]
+        private = st.lcounter + 1 != st.limit
+        steps = mem.steps
+        gen = counter.program(pid, "inc", ())
+        if private:
+            assert gen is None
+            assert drive(gen, mem) is None
+            assert mem.steps == steps
+        else:
+            assert inspect.isgenerator(gen)
+            assert drive(gen, mem) is None
+            assert mem.steps > steps
+            published += 1
+    assert 0 < published < 300
+
+
+def test_private_increments_complete_at_invocation_with_zero_steps():
+    factory = lambda mem: ApproxCounter(mem, 4, 2)
+    for seed in range(20):
+        rng = random.Random(seed)
+        workload = random_counter_workload(rng, 4, 40)
+        returned_none = [[] for _ in range(4)]  # per process, per operation
+
+        def recording(mem):
+            counter = factory(mem)
+            program = counter.program
+
+            def traced(pid, op, args=()):
+                gen = program(pid, op, args)
+                returned_none[pid].append(gen is None)
+                return gen
+            counter.program = traced
+            return counter
+
+        result = run(recording, workload, seeded(rng.randrange(2**62)))
+        assert not result.runner.active
+        responses = [[] for _ in range(4)]
+        for e in result.history:
+            if e.kind == "respond":
+                responses[e.proc].append(e)
+        for pid, ops in enumerate(workload):
+            assert len(returned_none[pid]) == len(ops)
+            for (name, _), private, steps, response in zip(
+                    ops, returned_none[pid], result.report.per_op[pid], responses[pid]):
+                if private:
+                    assert name == "inc"
+                    assert steps == 0
+                    assert response.payload is None
+                elif name == "inc":
+                    assert steps >= 1  # the publishing step machine takes a step
+        assert check(result.history, counter_spec(2)).valid
+
+
+@pytest.mark.parametrize("pid, op", [(2, "inc"), (-1, "inc"), (0, "decrement"),
+                                     (1, "incr")])
+def test_invalid_invocation_changes_no_state(pid, op):
+    mem = Memory()
+    counter = ApproxCounter(mem, 2, 4)
+    solo(counter, mem, [INC] * 3, pid=0)
+    solo(counter, mem, [INC] * 2, pid=1)
+    before = [(st.lcounter, st.limit) for st in counter.states]
+    with pytest.raises(ValueError):
+        counter.program(pid, op, ())
+    assert [(st.lcounter, st.limit) for st in counter.states] == before

@@ -200,10 +200,6 @@ def factory(obj: str, n: int, k: int, m: int | None):
     return lambda memory: build(memory, n, k, m)
 
 
-def _factory(config: BenchConfig):
-    return factory(config.object, config.n, config.k, config.m)
-
-
 def _checkpoint(runner: shmem.Runner) -> Checkpoint:
     report = runner.report()
     return Checkpoint(runner.ops_completed, report.total_steps, report.amortized,
@@ -213,9 +209,8 @@ def _checkpoint(runner: shmem.Runner) -> Checkpoint:
 def _measure(config: BenchConfig, workload) -> ComplexityReport:
     if config.mode != "simulated":
         raise ValueError(f"step measurement needs mode='simulated', not {config.mode!r}")
-    memory = shmem.Memory()
-    instance = _factory(config)(memory)
-    runner = shmem.Runner(memory, instance, workload, record_history=False)
+    runner = shmem.Runner(factory(config.object, config.n, config.k, config.m), workload,
+                          record_history=False)
     slots = shmem.seeded(config.seed + 1)(runner)  # scheduling stream
     checkpoints: list[Checkpoint] = []
     for mark in CHECKPOINTS:
@@ -230,7 +225,7 @@ def _measure(config: BenchConfig, workload) -> ComplexityReport:
     if not checkpoints or checkpoints[-1].ops != runner.ops_completed:
         checkpoints.append(_checkpoint(runner))
     report = runner.report()
-    bound = getattr(instance, "step_bound", None)
+    bound = getattr(runner.instance, "step_bound", None)
     return ComplexityReport(config, checkpoints, report.op_count, report.total_steps,
                             report.amortized, report.max_op_steps(),
                             report.histogram, bound)
@@ -268,7 +263,7 @@ def run_sequential(config: BenchConfig) -> list[list[Any]]:
     Reference output for single-thread native runs.
     """
     memory = shmem.Memory()
-    instance = _factory(config)(memory)
+    instance = OBJECTS[config.object][0](memory, config.n, config.k, config.m)
     return [[drive(instance.program(pid, name, args), memory) for name, args in ops]
             for pid, ops in enumerate(_workload(config))]
 
@@ -302,7 +297,7 @@ def run_native(config: BenchConfig) -> NativeReport:
     # lists, so the threads share no dealer inside the timed loop
     workload = [list(ops) for ops in _workload(config)]
     memory = NativeMemory()
-    instance = _factory(config)(memory)
+    instance = OBJECTS[config.object][0](memory, config.n, config.k, config.m)
     responses: list[list[Any]] = [[] for _ in range(config.n)]
     barrier = threading.Barrier(config.n)
 

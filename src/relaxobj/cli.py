@@ -149,6 +149,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.native and args.format == "csv":
+        raise UsageError("--format csv is not available with --native, which reports JSON")
     config = bench.BenchConfig(
         object=args.object, n=args.n if args.n is not None else 1, k=args.k,
         m=args.m, total_ops=args.ops, read_fraction=args.read_fraction,

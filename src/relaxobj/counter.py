@@ -16,7 +16,7 @@ in the announce array; exhausting the interval without a claim means
 enough other announcements happened that the batch can be abandoned to
 the error margin, and the threshold grows by a factor k.  A private
 increment is not a step machine: ``program`` counts it and returns
-``None``, an operation already complete with no step taken.  Only the
+``None``, as the rule in :mod:`relaxobj.shmem` allows.  Only the
 increment that reaches ``limit`` gets a step machine, the one that
 publishes.
 

@@ -133,7 +133,7 @@ class NativeMemory(Memory):
 def drive(gen, memory: Memory) -> Any:
     """Run a step machine to completion, performing accesses immediately.
 
-    ``gen`` may be ``None``, an operation that ``program`` already completed.
+    ``gen`` may be ``None``, as ``program`` returns it (see the module docstring).
     """
     if gen is None:
         return None
@@ -298,19 +298,20 @@ class StepReport:
 class Runner:
     """Drives step machines: one base-object access per scheduled slot.
 
-    Each process pulls its next ``(name, args)`` operation from its own
-    iterable when it invokes it.  With ``record_history`` the runner keeps
-    the events, per-op step lists and ``schedule``, the pid of every slot
-    (skips included); without it, only a step histogram.  With
-    ``record_trace`` each access appends ``(step_index, pid, oid,
-    primitive, arg, result)`` to ``trace``.
+    ``factory`` builds the object under test over the runner's own fresh
+    ``memory``, whose steps it charges.  Each process pulls its next
+    ``(name, args)`` operation from its own iterable when it invokes it.
+    With ``record_history`` the runner keeps the events, per-op step lists
+    and ``schedule``, the pid of every slot (skips included); without it,
+    only a step histogram.  With ``record_trace`` each access appends
+    ``(step_index, pid, oid, primitive, arg, result)`` to ``trace``.
     """
 
-    def __init__(self, memory: Memory, instance: Any,
+    def __init__(self, factory: Callable[[Memory], Any],
                  workload: list[Iterable[tuple[str, tuple]]],
                  record_history: bool = True, record_trace: bool = False) -> None:
-        self.memory = memory
-        self.instance = instance
+        self.memory = Memory()
+        self.instance = factory(self.memory)
         self._ops = [iter(ops) for ops in workload]
         self.n = len(self._ops)
         # each process's in-flight operation: (gen, name, request, steps so far)
@@ -355,14 +356,6 @@ class Runner:
             self.ops_completed += done
             self.completed[0] = self.completed.get(0, 0) + done
 
-    def _respond(self, p: int, name: str, value: Any, steps: int) -> None:
-        self.ops_completed += 1
-        self.completed[steps] = self.completed.get(steps, 0) + 1
-        if self.per_op is not None:
-            self.per_op[p].append(steps)
-        if self.events is not None:
-            self.events.append(Event("respond", p, name, value, self.memory.steps))
-
     def step(self, p: int) -> bool:
         """Run one slot for p (its armed access or a skip); True if it completed p's op."""
         if self.schedule is not None:
@@ -377,12 +370,17 @@ class Runner:
         if self.trace is not None:
             self.trace.append((self.memory.steps - 1, p, request[1].oid, request[0], arg,
                                result))
+        steps += 1
         try:
-            self._armed[p] = (gen, name, gen.send(result), steps + 1)
+            self._armed[p] = (gen, name, gen.send(result), steps)
         except StopIteration as stop:
             self._armed[p] = None
             self.active.remove(p)
-            self._respond(p, name, stop.value, steps + 1)
+            self.ops_completed += 1
+            self.completed[steps] = self.completed.get(steps, 0) + 1
+            if self.events is not None:  # per_op is kept exactly when events are
+                self.per_op[p].append(steps)
+                self.events.append(Event("respond", p, name, stop.value, self.memory.steps))
             self._invoke_until_armed(p)
             return True
         return False
@@ -402,9 +400,6 @@ class Runner:
                 return True
         return False
 
-    def history(self) -> History:
-        return History(self.events if self.events is not None else [])
-
     def report(self) -> StepReport:
         """Step accounting so far; each in-flight operation counts its steps so far."""
         in_flight = [armed[3] for armed in self._armed if armed]
@@ -422,7 +417,8 @@ class Runner:
         # built from a list, CPython takes the tuple from its free list;
         # tuple(<generator>) would resize one and grow that list instead
         schedule = None if self.schedule is None else tuple(self.schedule)
-        return RunResult(self.history(), self.report(), self.trace, self.memory,
+        history = History(self.events if self.events is not None else [])
+        return RunResult(history, self.report(), self.trace, self.memory,
                          self.instance, self, schedule)
 
 
@@ -489,8 +485,7 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
     """
     if not callable(schedule):
         schedule = explicit(schedule)
-    memory = Memory()
-    runner = Runner(memory, factory(memory), workload, record_history, record_trace)
+    runner = Runner(factory, workload, record_history, record_trace)
     runner.advance(schedule(runner))
     return runner.result()
 
@@ -508,28 +503,9 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     grows combinatorially with the total step count; keep workloads at
     desk scale.  With ``reduction="dpor"`` one interleaving per trace
     class is yielded, by source-set and sleep-set dynamic partial-order
-    reduction (Abdulla et al., POPL 2014).  Two slots of different
-    processes are dependent when they touch the same cell and one of
-    them changes the cell's value, or when both emit history events (a
-    response, or the invocations that follow it).  Whether a slot changes
-    its cell is decided on the state before it runs: a ``write`` of the
-    value the cell holds, or a ``tas`` on a set bit, counts as a read
-    (the refined dependency of Godefroid & Pirottin, CAV 1993).  This
-    relation is sound:
-
-    1. A non-modifying access returns what a read would return, and
-       leaves the state as a read would.
-    2. Every modifying access to a cell depends on every other access to
-       that cell.  So in every member of a trace class the same modifying
-       access is the last one before a given slot, and the slot gets the
-       same classification in each member.
-    3. So swapping adjacent independent slots within a class still
-       preserves history signatures and per-operation step counts, and
-       the reduced leaves reach every history and every per-operation
-       step count of the full enumeration.
-    4. A sleeping process's cell is modified by no slot that is
-       independent of its pending slot, so that slot keeps the
-       classification it had when the process fell asleep.
+    reduction (Abdulla et al., POPL 2014), and the leaves reach every
+    history and every per-operation step count of the full enumeration;
+    :func:`_source_dpor` gives the dependence relation and why it is sound.
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
@@ -542,8 +518,7 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
 def _every_interleaving(factory, workload) -> Iterator[RunResult]:
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        memory = Memory()
-        runner = Runner(memory, factory(memory), workload)
+        runner = Runner(factory, workload)
         runner.advance(stack.pop())
         while runner.active:
             choices = sorted(runner.active)
@@ -595,8 +570,12 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
     yielded), then adds the reversals of its races to the backtrack sets.
     Cells are compared as objects of the current replay only.
 
-    Dependence is value-aware: :func:`_effect` classifies each slot on the
-    state before it runs, once for every executed slot that goes into race
+    Two slots of different processes are dependent when they touch the
+    same cell and one of them changes the cell's value, or when both emit
+    history events (a response, or the invocations that follow it).  The
+    relation is value-aware, the refined dependency of Godefroid &
+    Pirottin (CAV 1993): :func:`_effect` classifies each slot on the state
+    before it runs, once for every executed slot that goes into race
     detection and once for every sleeping process's pending request.  It
     is sound because:
 
@@ -609,7 +588,9 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
        value when the slot runs, and the slot gets the same classification
        in each member.
     3. So swaps within a class still preserve history signatures and
-       per-operation step counts, as with a static relation.
+       per-operation step counts, as with a static relation, and the
+       reduced leaves reach every history and every per-operation step
+       count of the full enumeration.
     4. A sleeping process's cell is modified by no slot that is
        independent of its pending slot: a modifying slot on that cell
        would be dependent.  So its classification now equals the one it
@@ -619,8 +600,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
     path: list[_Node] = []
     before: list[int] = []  # before[j]: bitmask of the slots that happen before slot j
     while True:
-        memory = Memory()
-        runner = Runner(memory, factory(memory), workload)
+        runner = Runner(factory, workload)
         slots: list[tuple] = []  # (pid, cell, effect, emitted) of each slot run
 
         def run_slot(p: int) -> None:
@@ -685,13 +665,7 @@ def _add_reversals(path: list[_Node], slots: list[tuple], before: list[int]) -> 
                 continue
             v = [k for k in range(i + 1, j) if not before[k] >> i & 1] + [j]
             v_mask = sum(1 << k for k in v)
-            initials, seen = set(), set()
-            for k in v:
-                p = slots[k][0]
-                if p not in seen:
-                    seen.add(p)
-                    if not before[k] & v_mask:
-                        initials.add(p)
+            initials = {slots[k][0] for k in v if not before[k] & v_mask}
             node = path[i]
             if not initials & node.backtrack:
                 node.backtrack.add(min(initials))

@@ -275,11 +275,11 @@ def test_criterion_07_counter_amortized_constancy():
 
 def test_criterion_08_counter_wait_freedom_under_starvation():
     with criterion("criterion 8 (counter wait-freedom under starvation)"):
-        memory = Memory()
-        counter = ApproxCounter(memory, 16, 2)
         workload = ([[("read", ())]] + [[("inc", ())] * 300_000]
                     + [[] for _ in range(14)])
-        runner = Runner(memory, counter, workload, record_trace=True)
+        runner = Runner(lambda memory: ApproxCounter(memory, 16, 2), workload,
+                        record_trace=True)
+        memory, counter = runner.memory, runner.instance
 
         # the incrementer keeps the ladder ahead of the reader
         while len(counter.set_indexes()) < 30:
@@ -302,7 +302,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
             slots += 1
             assert slots < 64, "reader failed to terminate via helping"
 
-        history = runner.history()
+        history = runner.result().history
         reads = [e for e in history if e.kind == "respond" and e.op == "read"]
         assert len(reads) == 1
         respond_step = reads[0].step

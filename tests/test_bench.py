@@ -71,9 +71,8 @@ def test_single_process_inc_read_exact_steps():
     from relaxobj import shmem
     from relaxobj.counter import ApproxCounter
 
-    memory = shmem.Memory()
-    counter = ApproxCounter(memory, 1, 4)
-    runner = shmem.Runner(memory, counter, [[("inc", ()), ("read", ())]])
+    runner = shmem.Runner(lambda memory: ApproxCounter(memory, 1, 4),
+                          [[("inc", ()), ("read", ())]])
     while runner.active:
         runner.step(0)
     report = runner.report()

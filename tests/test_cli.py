@@ -239,6 +239,18 @@ def test_bench_native_thread_cap_usage_error(capsys, monkeypatch):
     assert "at most" in capsys.readouterr().err
 
 
+def test_bench_native_csv_usage_error(capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the native run was started")
+
+    monkeypatch.setattr(bench, "run_native", no_run)
+    code = main(["bench", "--native", "--object", "counter", "--n", "2",
+                 "--ops", "10", "--format", "csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--format csv" in err and "--native" in err
+
+
 def test_bench_native_ops_cap_usage_error(capsys, monkeypatch):
     def no_workload(config):
         raise AssertionError("the workload was drawn")

@@ -145,20 +145,18 @@ def test_seeded_picks_as_random_choice_does():
     # at different times, so the active list takes every length from 5 to 1
     lengths = set()
     for seed in range(60):
-        memory = Memory()
-        runner = Runner(memory, SpinInstance(memory), spin_workload(2, 4, 6, 9, 13))
+        runner = Runner(SpinInstance, spin_workload(2, 4, 6, 9, 13))
         reference = random.Random(seed)
         for p in seeded(seed)(runner):
             lengths.add(len(runner.active))
             assert p == reference.choice(runner.active)
             runner.step(p)
-        assert memory.steps == 34
+        assert runner.memory.steps == 34
     assert lengths == {1, 2, 3, 4, 5}
 
 
 def _advance_runner(pids):
-    memory = Memory()
-    runner = Runner(memory, SpinInstance(memory), spin_workload(1, 2, 1))
+    runner = Runner(SpinInstance, spin_workload(1, 2, 1))
     return runner, iter(pids)
 
 

@@ -7,7 +7,7 @@ then replays the low-count schedule that the unit bits keep in the window.
 
 import random
 
-from relaxobj import ApproxCounter, check, counter_spec, explicit, run, seeded
+from relaxobj import ApproxCounter, check, counter_spec, run, seeded
 
 N, K = 4, 4  # k*k >= n: the accuracy window is guaranteed
 
@@ -45,7 +45,7 @@ def main():
     small = lambda memory: ApproxCounter(memory, 4, 2)
     workload = [[("inc", ()), ("inc", ())], [("inc", ())], [("inc", ())],
                 [("inc", ()), ("read", ())]]
-    result = run(small, workload, explicit([0, 1, 2, 2, 3, 3, 3, 3, 3, 3]))
+    result = run(small, workload, [0, 1, 2, 2, 3, 3, 3, 3, 3, 3])
     read = [e.payload for e in result.history
             if e.kind == "respond" and e.op == "read"][0]
     verdict = check(result.history, counter_spec(2)).verdict

@@ -15,15 +15,14 @@ from .lincheck import CheckResult, RelaxedSpec, check, check_bruteforce, \
 from .maxreg_approx import ApproxMaxRegister, floor_log
 from .maxreg_exact import BoundedMaxRegister
 from .shmem import Cell, Event, History, LazyCells, Memory, OpRecord, RunResult, \
-    Runner, StepReport, enumerate_interleavings, explicit, run, seeded, \
-    trace_lines
+    Runner, StepReport, enumerate_interleavings, run, seeded, trace_lines
 
 __all__ = [
     "ApproxCounter", "ApproxMaxRegister", "BenchConfig", "BoundedMaxRegister",
     "Cell", "CheckResult", "ComplexityReport", "Event", "History", "LazyCells",
     "Memory", "NativeReport", "OpRecord", "ProcessState", "RelaxedSpec",
     "RunResult", "Runner", "StepReport", "check", "check_bruteforce", "counter_spec",
-    "enumerate_interleavings", "explicit", "floor_log", "maxreg_approx_spec",
+    "enumerate_interleavings", "floor_log", "maxreg_approx_spec",
     "maxreg_exact_spec", "measure_amortized", "measure_worst_case",
     "return_value", "run", "run_native", "seeded", "trace_lines",
 ]

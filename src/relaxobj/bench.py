@@ -303,16 +303,25 @@ def run_native(config: BenchConfig) -> NativeReport:
 
     def worker(pid: int) -> None:
         out = responses[pid]
-        barrier.wait()
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:  # a later thread failed to start
+            return
         for name, args in workload[pid]:
             out.append(drive(instance.program(pid, name, args), memory))
 
     threads = [threading.Thread(target=worker, args=(p,)) for p in range(config.n)]
     start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+    except BaseException:
+        barrier.abort()  # the threads already started return instead of waiting forever
+        raise
+    finally:
+        for t in threads:
+            if t.ident is not None:  # only a started thread can be joined
+                t.join()
     seconds = time.perf_counter() - start
     total = sum(len(r) for r in responses)
     return NativeReport(config, total, seconds,

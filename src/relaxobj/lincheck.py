@@ -40,7 +40,6 @@ class RelaxedSpec:
     names the operations that may linearize without having responded.
     """
 
-    name: str
     initial: Any
     apply: Callable[[Any, str, tuple], Any]
     accepts: Callable[[Any, str, tuple, Any], bool]
@@ -65,21 +64,24 @@ def counter_spec(k: int) -> RelaxedSpec:
             return True
         return state <= ret * k and ret <= state * k
 
-    return RelaxedSpec(f"counter(k={k})", 0, apply, accepts, frozenset({"inc"}))
+    return RelaxedSpec(0, apply, accepts, frozenset({"inc"}))
 
 
-def maxreg_exact_spec() -> RelaxedSpec:
-    """Exact max register: reads must return the running maximum."""
+def _maxreg_window_spec(k: int) -> RelaxedSpec:
+    """Max register whose reads return x with s <= x <= s*k for running maximum s."""
 
     def apply(state, op, args):
         return max(state, args[0]) if op == "write" else state
 
     def accepts(state, op, args, ret):
-        if op == "write":
-            return True
-        return ret == state
+        return op == "write" or state <= ret <= state * k
 
-    return RelaxedSpec("maxreg-exact", 0, apply, accepts, frozenset({"write"}))
+    return RelaxedSpec(0, apply, accepts, frozenset({"write"}))
+
+
+def maxreg_exact_spec() -> RelaxedSpec:
+    """Exact max register: reads must return the running maximum (the k = 1 window)."""
+    return _maxreg_window_spec(1)
 
 
 def maxreg_approx_spec(k: int) -> RelaxedSpec:
@@ -90,17 +92,7 @@ def maxreg_approx_spec(k: int) -> RelaxedSpec:
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError("accuracy factor k must be an integer >= 2")
-
-    def apply(state, op, args):
-        return max(state, args[0]) if op == "write" else state
-
-    def accepts(state, op, args, ret):
-        if op == "write":
-            return True
-        return state <= ret <= state * k
-
-    return RelaxedSpec(f"maxreg-approx(k={k})", 0, apply, accepts,
-                       frozenset({"write"}))
+    return _maxreg_window_spec(k)
 
 
 @dataclass

@@ -217,9 +217,6 @@ class History:
     def __init__(self, events: list[Event]) -> None:
         self.events = events
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
@@ -418,25 +415,12 @@ class Runner:
         # tuple(<generator>) would resize one and grow that list instead
         schedule = None if self.schedule is None else tuple(self.schedule)
         history = History(self.events if self.events is not None else [])
-        return RunResult(history, self.report(), self.trace, self.memory,
-                         self.instance, self, schedule)
+        return RunResult(history, self.report(), self.trace, self.instance, self, schedule)
 
 
 # ---------------------------------------------------------------------------
 # Schedules and run entry points
 # ---------------------------------------------------------------------------
-
-
-def explicit(pids) -> Callable[[Runner], Iterator[int]]:
-    """The schedule that runs one slot per pid in ``pids``, in order."""
-    pids = tuple(pids)
-
-    def slots(runner: Runner) -> Iterator[int]:
-        for p in pids:
-            if not 0 <= p < runner.n:
-                raise ValueError(f"schedule references undeclared process {p}")
-            yield p
-    return slots
 
 
 def seeded(seed: int) -> Callable[[Runner], Iterator[int]]:
@@ -467,7 +451,6 @@ class RunResult:
     history: History
     report: StepReport
     trace: list[tuple] | None
-    memory: Memory
     instance: Any
     runner: Runner
     schedule: tuple[int, ...] | None  # the pid of every slot; None without history
@@ -478,15 +461,21 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
     """Run a workload deterministically under a schedule.
 
     ``factory`` builds the object under test against a fresh Memory, and
-    ``schedule`` is a pid sequence or a function such as :func:`seeded`
-    returns.  Equal (workload, schedule) inputs yield identical histories,
+    ``schedule`` is a function of the runner, such as :func:`seeded`
+    returns, or pids, one per slot, each checked to be a declared process
+    before any slot runs.  Equal (workload, schedule) inputs yield identical histories,
     reports and traces; with history the result's ``schedule`` replays it.  A
     slot for a process with nothing to run is skipped and recorded, not fatal.
     """
-    if not callable(schedule):
-        schedule = explicit(schedule)
     runner = Runner(factory, workload, record_history, record_trace)
-    runner.advance(schedule(runner))
+    if callable(schedule):
+        slots = schedule(runner)
+    else:
+        slots = tuple(schedule)  # once, so a one-shot iterator is checked and run
+        for p in slots:
+            if not 0 <= p < runner.n:
+                raise ValueError(f"schedule references undeclared process {p}")
+    runner.advance(slots)
     return runner.result()
 
 

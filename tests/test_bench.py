@@ -204,6 +204,35 @@ def test_csv_and_json_reports():
     assert doc["amortized"]["num"] == report.amortized.numerator
 
 
+def test_run_native_releases_started_threads_when_a_start_fails(monkeypatch):
+    started, barriers = [], []
+    real_start = threading.Thread.start
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        real_start(thread)
+
+    class RecordedBarrier(threading.Barrier):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            barriers.append(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(threading, "Barrier", RecordedBarrier)
+    try:
+        with pytest.raises(RuntimeError):
+            run_native(BenchConfig(object="counter", n=2, total_ops=10, mode="native"))
+        assert [t for t in started if t.is_alive()] == []
+    finally:
+        # so that a run that leaves a worker blocked fails here instead of hanging
+        for barrier in barriers:
+            barrier.abort()
+        for thread in started:
+            thread.join(timeout=10)
+
+
 def test_native_memory_semantics():
     mem = NativeMemory()
     bit = mem.alloc("tas", 0)

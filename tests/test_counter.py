@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from relaxobj import check, counter_spec, return_value, run, seeded, explicit
+from relaxobj import check, counter_spec, return_value, run, seeded
 from relaxobj.counter import ApproxCounter
 from relaxobj.shmem import Memory, drive
 from support import random_counter_workload, solo
@@ -82,7 +82,7 @@ def test_two_process_switch_contention():
     # both processes reach their threshold; the second finds bit 1 taken
     factory = lambda mem: ApproxCounter(mem, 2, 4)
     workload = [[INC] * 5, [INC] * 4]
-    result = run(factory, workload, explicit([0, 1, 0, 0, 1, 1, 1]))
+    result = run(factory, workload, [0, 1, 0, 0, 1, 1, 1])
     counter = result.instance
     assert counter.set_indexes() == [0, 1, 2]
     assert counter.announce[0].value == (1, 1)
@@ -191,7 +191,7 @@ def test_low_count_window_escape_below_k_eq_n_minus_1():
     # read counts it and returns k*(1 + 1) instead of undershooting with k
     factory = lambda mem: ApproxCounter(mem, 4, 2)
     workload = [[INC, INC], [INC], [INC], [INC, READ]]
-    result = run(factory, workload, explicit([0, 1, 2, 2, 3, 3, 3, 3, 3, 3]))
+    result = run(factory, workload, [0, 1, 2, 2, 3, 3, 3, 3, 3, 3])
     assert not result.runner.active
     assert result.instance.set_indexes() == [0]
     incs = sum(1 for e in result.history if e.kind == "respond" and e.op == "inc")
@@ -230,7 +230,7 @@ def test_read_rechecks_bit_one_when_units_grow():
     # p2 claims unit bit 0 after p3's read saw bit 1 unset; the re-read
     # of bit 1 finds it still unset, so the read counts the unit bit
     workload = [[INC], [], [INC], [READ, READ]]
-    result = run(factory, workload, explicit([0, 3, 3, 2, 2, 3, 3, 3]))
+    result = run(factory, workload, [0, 3, 3, 2, 2, 3, 3, 3])
     reads = [e.payload for e in result.history
              if e.kind == "respond" and e.op == "read"]
     assert reads == [4, 4]
@@ -238,7 +238,7 @@ def test_read_rechecks_bit_one_when_units_grow():
     assert check(result.history, counter_spec(2)).valid
     # p0 claims bit 1 before the re-read: the read continues up the ladder
     workload = [[INC] * 3, [], [INC], [READ]]
-    result = run(factory, workload, explicit([0, 3, 3, 2, 2, 3, 0, 0, 3, 3]))
+    result = run(factory, workload, [0, 3, 3, 2, 2, 3, 0, 0, 3, 3])
     assert not result.runner.active
     assert [e.payload for e in result.history
             if e.kind == "respond" and e.op == "read"] == [return_value(1, 0, 2)]

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from relaxobj import bench, check, counter_spec, shmem
 from relaxobj.cli import parse_workload
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
-                            Runner, distinct_histories, enumerate_interleavings, explicit,
-                            run, seeded, trace_lines)
+                            Runner, distinct_histories, enumerate_interleavings, run,
+                            seeded, trace_lines)
 from support import SpinInstance, spin_workload
 
 
@@ -83,16 +83,18 @@ def test_lazy_cells_allocate_on_first_touch_without_steps(kind):
 
 def test_sequential_schedule_completes_both_processes():
     factory = lambda mem: SpinInstance(mem)
-    result = run(factory, spin_workload(2, 2), explicit([0, 0, 1, 1]))
-    kinds = [(e.kind, e.proc) for e in result.history]
-    assert kinds == [("invoke", 0), ("invoke", 1),
-                     ("respond", 0), ("respond", 1)]
-    assert result.report.total_steps == 4
+    # a one-shot iterator runs as the equal list does
+    for schedule in ([0, 0, 1, 1], iter([0, 0, 1, 1])):
+        result = run(factory, spin_workload(2, 2), schedule)
+        kinds = [(e.kind, e.proc) for e in result.history]
+        assert kinds == [("invoke", 0), ("invoke", 1),
+                         ("respond", 0), ("respond", 1)]
+        assert result.report.total_steps == 4
 
 
 def test_skipped_slots_recorded_not_fatal():
     factory = lambda mem: SpinInstance(mem)
-    result = run(factory, spin_workload(1, 1), explicit([0, 0, 0, 1]),
+    result = run(factory, spin_workload(1, 1), [0, 0, 0, 1],
                  record_trace=True)
     assert result.schedule == (0, 0, 0, 1)
     assert [t[1] for t in result.trace] == [0, 1]  # slots 1 and 2 ran nothing
@@ -105,7 +107,7 @@ REPLAY_CASES = {
        for seed in range(5)},
     # slots 1 and 2 find process 0 with nothing to run
     "skipped slots": (lambda mem: SpinInstance(mem), spin_workload(1, 1),
-                      explicit([0, 0, 0, 1])),
+                      [0, 0, 0, 1]),
 }
 
 
@@ -181,11 +183,11 @@ def test_advance_stops_at_the_completing_slot_and_resumes():
 def test_step_conservation():
     factory = lambda mem: SpinInstance(mem)
     # the truncated schedule leaves both operations in flight
-    for schedule in (seeded(7), explicit([0, 1, 1])):
+    for schedule in (seeded(7), [0, 1, 1]):
         result = run(factory, spin_workload(3, 5), schedule)
         report = result.report
         per_op_total = sum(sum(ops) for ops in report.per_op)
-        assert per_op_total == result.memory.steps == report.total_steps
+        assert per_op_total == result.runner.memory.steps == report.total_steps
         assert report.histogram == Counter(steps for ops in report.per_op for steps in ops)
         assert report.op_count == sum(report.histogram.values())
 
@@ -355,7 +357,7 @@ def test_malformed_history_operations_rejected(events):
 
 def test_trace_format():
     factory = lambda mem: SpinInstance(mem)
-    result = run(factory, spin_workload(2), explicit([0, 0]), record_trace=True)
+    result = run(factory, spin_workload(2), [0, 0], record_trace=True)
     lines = trace_lines(result.trace)
     assert len(lines) == 2
     step, pid, oid, primitive, arg, res = lines[0].split("\t")
@@ -372,7 +374,7 @@ def test_atomicity_reads_see_latest_write():
     result = run(factory, workload, seeded(11), record_trace=True)
     assert {t[3] for t in result.trace} == {"read", "write", "tas"}
     shadow: dict[int, object] = {}
-    initial = {c.oid: c for c in result.memory.cells}
+    initial = {c.oid: c for c in result.runner.memory.cells}
     for _step, _pid, oid, primitive, arg, res in result.trace:
         if primitive == "read":
             assert res == shadow.get(oid, 0 if initial[oid].kind != "pair" else (0, 0))
@@ -408,7 +410,14 @@ def test_history_alternates_invoke_respond_per_process():
             state[e.proc] = "closed"
 
 
-def test_explicit_schedule_rejects_undeclared_process():
-    factory = lambda mem: SpinInstance(mem)
-    with pytest.raises(ValueError):
-        run(factory, spin_workload(1), explicit([0, 3]))
+@pytest.mark.parametrize("pids", [[0, 3], [-1]], ids=["above-n", "negative"])
+def test_run_rejects_undeclared_process(pids):
+    memories = []
+
+    def factory(mem):
+        memories.append(mem)
+        return SpinInstance(mem)
+
+    with pytest.raises(ValueError, match="undeclared process"):
+        run(factory, spin_workload(1), pids)
+    assert [mem.steps for mem in memories] == [0]  # no slot ran, not even the valid one

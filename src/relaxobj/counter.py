@@ -1,11 +1,11 @@
 """Wait-free multiplicatively accurate unbounded counter.
 
 The shared state is an unbounded ladder of one-shot test&set bits, a
-short row of unit test&set bits, and an announce array of pair
-registers, one per process.  Bit 0 stands for one increment; past it
-the ladder is partitioned into intervals of k bits, and each bit set
-within interval q (indices qk+1 .. (q+1)k) stands for k**(q+1)
-increments performed by whoever set it.
+short row of unit test&set bits, and an announce array of registers,
+one per process, each holding an (index, sequence number) pair.  Bit 0
+stands for one increment; past it the ladder is partitioned into
+intervals of k bits, and each bit set within interval q (indices
+qk+1 .. (q+1)k) stands for k**(q+1) increments made by whoever set it.
 
 Increments are counted privately in ``lcounter`` until it reaches the
 announce threshold ``limit`` (always a power of k); the process then
@@ -107,7 +107,7 @@ class ApproxCounter:
         self.k = k
         self.accuracy_guaranteed = k * k >= n
         self.switches = shmem.LazyCells(memory, shmem.TAS)  # the ladder
-        self.announce = [memory.alloc(shmem.PAIR, (0, 0)) for _ in range(n)]
+        self.announce = [memory.alloc(shmem.REGISTER, (0, 0)) for _ in range(n)]
         unit_bits = -(-(1 + n * (k - 1)) // (k * k)) - 1
         self.units = [memory.alloc(shmem.TAS, 0) for _ in range(unit_bits)]
         self.states = [ProcessState() for _ in range(n)]

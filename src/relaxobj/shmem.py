@@ -1,8 +1,8 @@
 """Instrumented shared memory and a deterministic step-machine scheduler.
 
-Shared state lives in :class:`Cell` objects (base objects): plain
-multi-valued registers, one-shot test&set bits, and pair registers that
-hold an ``(int, int)`` tuple read and written as a single atomic unit.
+Shared state lives in :class:`Cell` objects (base objects) of two kinds:
+multi-valued registers, whose value may be any Python value (a tuple is
+read and written as a single atomic unit), and one-shot test&set bits.
 
 Operations are expressed as *step machines*: generator functions that
 yield one access request per resumption and eventually ``return`` the
@@ -15,6 +15,7 @@ private increments).  A request is a tuple:
     ("write", cell, value)   -> None
     ("tas", cell)            -> previous bit value; the bit becomes 1
 
+:meth:`Memory.access` executes one request exactly as it was yielded.
 Exactly one step is charged per executed access; local computation
 between accesses is free.  Under the scheduler (:class:`Runner`) every
 access is atomic by construction, and a run is fully determined by the
@@ -40,7 +41,6 @@ from typing import Any, Callable, Iterable, Iterator
 
 REGISTER = "register"
 TAS = "tas"
-PAIR = "pair"
 
 
 class IllegalAccess(ValueError):
@@ -75,24 +75,20 @@ class Memory:
         if kind == TAS:
             if initial != 0:
                 raise ValueError("test&set bits always start at 0")
-        elif kind == PAIR:
-            if not (isinstance(initial, tuple) and len(initial) == 2):
-                raise ValueError("pair registers hold a 2-tuple")
         elif kind != REGISTER:
             raise ValueError(f"unknown cell kind {kind!r}")
         cell = Cell(len(self.cells), kind, initial)
         self.cells.append(cell)
         return cell
 
-    def access(self, primitive: str, cell: Cell, arg: Any = None) -> Any:
+    def access(self, request: tuple) -> Any:
+        primitive, cell = request[0], request[1]
         if primitive == "read":
             result = cell.value
         elif primitive == "write":
-            if cell.kind == TAS:
-                raise IllegalAccess("test&set bits do not support write")
-            if cell.kind == PAIR and not (isinstance(arg, tuple) and len(arg) == 2):
-                raise IllegalAccess("pair write needs a 2-tuple")
-            cell.value = arg
+            if cell.kind == TAS or len(request) != 3:
+                raise IllegalAccess(f"a write needs a register and a value: {request!r}")
+            cell.value = request[2]
             result = None
         elif primitive == "tas":
             if cell.kind != TAS:
@@ -125,9 +121,9 @@ class NativeMemory(Memory):
             self.locks.append(threading.Lock())
         return cell
 
-    def access(self, primitive: str, cell: Cell, arg: Any = None) -> Any:
-        with self.locks[cell.oid]:
-            return Memory.access(self, primitive, cell, arg)
+    def access(self, request: tuple) -> Any:
+        with self.locks[request[1].oid]:
+            return Memory.access(self, request)
 
 
 def drive(gen, memory: Memory) -> Any:
@@ -140,9 +136,7 @@ def drive(gen, memory: Memory) -> Any:
     try:
         request = next(gen)
         while True:
-            # positional arguments: in CPython 3.11 ``access(*request)`` is a slower call
-            request = gen.send(memory.access(request[0], request[1],
-                                             request[2] if len(request) > 2 else None))
+            request = gen.send(memory.access(request))
     except StopIteration as stop:
         return stop.value
 
@@ -361,12 +355,10 @@ class Runner:
         if armed is None:
             return False
         gen, name, request, steps = armed
-        arg = request[2] if len(request) > 2 else None
-        # positional arguments: in CPython 3.11 ``access(*request)`` is a slower call
-        result = self.memory.access(request[0], request[1], arg)
+        result = self.memory.access(request)
         if self.trace is not None:
-            self.trace.append((self.memory.steps - 1, p, request[1].oid, request[0], arg,
-                               result))
+            self.trace.append((self.memory.steps - 1, p, request[1].oid, request[0],
+                               request[2] if len(request) > 2 else None, result))
         steps += 1
         try:
             self._armed[p] = (gen, name, gen.send(result), steps)
@@ -462,21 +454,27 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
 
     ``factory`` builds the object under test against a fresh Memory, and
     ``schedule`` is a function of the runner, such as :func:`seeded`
-    returns, or pids, one per slot, each checked to be a declared process
-    before any slot runs.  Equal (workload, schedule) inputs yield identical histories,
+    returns, or pids, one per slot.  Every pid is checked to be a declared
+    process: a pid list before any slot runs, a function's pid before its
+    slot runs.  Equal (workload, schedule) inputs yield identical histories,
     reports and traces; with history the result's ``schedule`` replays it.  A
     slot for a process with nothing to run is skipped and recorded, not fatal.
     """
     runner = Runner(factory, workload, record_history, record_trace)
     if callable(schedule):
-        slots = schedule(runner)
+        slots = _declared(schedule(runner), runner.n)
     else:
-        slots = tuple(schedule)  # once, so a one-shot iterator is checked and run
-        for p in slots:
-            if not 0 <= p < runner.n:
-                raise ValueError(f"schedule references undeclared process {p}")
+        slots = tuple(_declared(schedule, runner.n))  # a one-shot iterator is read once
     runner.advance(slots)
     return runner.result()
+
+
+def _declared(pids, n: int) -> Iterator[int]:
+    """The pids, each checked to lie in ``[0, n)`` as it is reached."""
+    for p in pids:
+        if not 0 <= p < n:
+            raise ValueError(f"schedule references undeclared process {p}")
+        yield p
 
 
 def enumerate_interleavings(factory: Callable[[Memory], Any], workload,

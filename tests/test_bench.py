@@ -236,11 +236,11 @@ def test_run_native_releases_started_threads_when_a_start_fails(monkeypatch):
 def test_native_memory_semantics():
     mem = NativeMemory()
     bit = mem.alloc("tas", 0)
-    assert mem.access("tas", bit) == 0
-    assert mem.access("tas", bit) == 1
+    assert mem.access(("tas", bit)) == 0
+    assert mem.access(("tas", bit)) == 1
     reg = mem.alloc("register", 0)
-    mem.access("write", reg, 9)
-    assert mem.access("read", reg) == 9
+    mem.access(("write", reg, 9))
+    assert mem.access(("read", reg)) == 9
     with pytest.raises(ValueError):
         mem.alloc("tas", 1)
 

@@ -113,6 +113,7 @@ def test_step_bound_every_operation():
             before = mem.steps
             solo(reg, mem, [op])
             assert mem.steps - before <= bound
+            assert mem.steps - before <= reg.inner.depth  # one inner root-to-leaf walk
 
 
 def test_wait_freedom_bound_is_schedule_independent():

@@ -89,7 +89,7 @@ def test_write_step_bound_m_1024():
     for v in (0, 1, 511, 512, 1023):
         before = mem.steps
         solo(reg, mem, [("write", (v,))])
-        assert mem.steps - before <= reg.depth + 1 == 11
+        assert mem.steps - before <= reg.depth == 10  # ceil(log2 1024) accesses
 
 
 def test_read_step_bound_m_2_20():

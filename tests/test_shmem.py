@@ -36,15 +36,15 @@ def test_access_semantics_and_step_charging():
     mem = Memory()
     bit = mem.alloc("tas", 0)
     reg = mem.alloc("register", 0)
-    pair = mem.alloc("pair", (0, 0))
-    assert mem.access("tas", bit) == 0
+    pair = mem.alloc("register", (0, 0))
+    assert mem.access(("tas", bit)) == 0
     assert bit.value == 1
-    assert mem.access("tas", bit) == 1  # stays set
+    assert mem.access(("tas", bit)) == 1  # stays set
     assert bit.value == 1
-    assert mem.access("write", reg, 5) is None
-    assert mem.access("read", reg) == 5
-    mem.access("write", pair, (3, 4))
-    assert mem.access("read", pair) == (3, 4)
+    assert mem.access(("write", reg, 5)) is None
+    assert mem.access(("read", reg)) == 5
+    mem.access(("write", pair, (3, 4)))  # a register holds a pair as one value
+    assert mem.access(("read", pair)) == (3, 4)
     assert mem.steps == 6
 
 
@@ -55,13 +55,14 @@ def test_illegal_primitive_kind_combinations(memory_class):
     bit = mem.alloc("tas", 0)
     reg = mem.alloc("register", 0)
     with pytest.raises(IllegalAccess):
-        mem.access("tas", reg)
+        mem.access(("tas", reg))
     with pytest.raises(IllegalAccess):
-        mem.access("write", bit, 1)
+        mem.access(("write", bit, 1))
     with pytest.raises(IllegalAccess):
-        mem.access("frobnicate", reg)
+        mem.access(("frobnicate", reg))
     with pytest.raises(IllegalAccess):
-        mem.access("write", mem.alloc("pair", (0, 0)), (1, 2, 3))
+        mem.access(("write", reg))  # a write request without a value
+    assert (reg.value, bit.value, mem.steps) == (0, 0, 0)  # no illegal access changed state
     with pytest.raises(ValueError):
         mem.alloc("tas", 1)
     with pytest.raises(ValueError):
@@ -272,14 +273,15 @@ def test_dpor_agrees_with_full_enumeration(name):
 
 def test_effect_classifies_accesses_that_change_nothing_as_reads():
     mem = Memory()
-    reg, pair, bit = mem.alloc("register", 5), mem.alloc("pair", (1, 2)), mem.alloc("tas", 0)
+    reg, bit = mem.alloc("register", 5), mem.alloc("tas", 0)
+    pair = mem.alloc("register", (1, 2))
     assert shmem._effect(("read", reg)) == "read"
     assert shmem._effect(("write", reg, 5)) == "read"
     assert shmem._effect(("write", reg, 6)) == "write"
     assert shmem._effect(("write", pair, (1, 2))) == "read"
     assert shmem._effect(("write", pair, (2, 1))) == "write"
     assert shmem._effect(("tas", bit)) == "tas"
-    mem.access("tas", bit)
+    mem.access(("tas", bit))
     assert shmem._effect(("tas", bit)) == "read"
     assert mem.steps == 1  # classifying a request performs no access
 
@@ -373,11 +375,11 @@ def test_atomicity_reads_see_latest_write():
     workload = [[("inc", ())] * 6 + [("read", ())] for _ in range(3)]
     result = run(factory, workload, seeded(11), record_trace=True)
     assert {t[3] for t in result.trace} == {"read", "write", "tas"}
-    shadow: dict[int, object] = {}
-    initial = {c.oid: c for c in result.runner.memory.cells}
+    announce = result.instance.announce_oid_to_proc()  # the cells that start at (0, 0)
+    shadow: dict[int, object] = {oid: (0, 0) for oid in announce}
     for _step, _pid, oid, primitive, arg, res in result.trace:
         if primitive == "read":
-            assert res == shadow.get(oid, 0 if initial[oid].kind != "pair" else (0, 0))
+            assert res == shadow.get(oid, 0)
         elif primitive == "write":
             shadow[oid] = arg
         elif primitive == "tas":
@@ -421,3 +423,17 @@ def test_run_rejects_undeclared_process(pids):
     with pytest.raises(ValueError, match="undeclared process"):
         run(factory, spin_workload(1), pids)
     assert [mem.steps for mem in memories] == [0]  # no slot ran, not even the valid one
+
+
+@pytest.mark.parametrize("pids, steps", [([-1], 0), ([0, 3], 1)],
+                         ids=["negative", "above-n"])
+def test_schedule_function_rejects_undeclared_process(pids, steps):
+    memories = []
+
+    def factory(mem):
+        memories.append(mem)
+        return SpinInstance(mem)
+
+    with pytest.raises(ValueError, match="undeclared process"):
+        run(factory, spin_workload(1, 1), lambda runner: iter(pids))
+    assert [mem.steps for mem in memories] == [steps]  # the bad pid's slot never ran

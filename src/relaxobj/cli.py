@@ -110,22 +110,23 @@ def cmd_check(args) -> int:
         raise UsageError(f"--budget must be >= 1, not {args.budget}")
     stats = {}
     if args.exhaustive:
-        histories = shmem.distinct_histories(factory, workload, stats)
+        # (seed, history) pairs: an explored history has no seed
+        runs = ((None, h) for h in shmem.distinct_histories(factory, workload, stats))
     elif args.random < 1:
         raise UsageError(f"--random must be >= 1, not {args.random}")
     else:
         stats["leaves"] = args.random
-        seeds = random.Random(args.seed)
-        histories = (shmem.run(factory, workload,
-                               shmem.seeded(seeds.randrange(2**62))).history
-                     for _ in range(args.random))
+        rng = random.Random(args.seed)
+        seeds = (rng.randrange(2**62) for _ in range(args.random))
+        runs = ((seed, shmem.run(factory, workload, shmem.seeded(seed)).history)
+                for seed in seeds)
     counts = {"valid": 0, "invalid": 0, "inconclusive": 0}
     first_invalid = None
-    for history in histories:
+    for seed, history in runs:
         verdict = lincheck.check(history, spec, args.budget).verdict
         counts[verdict] += 1
         if verdict == "invalid" and first_invalid is None:
-            first_invalid = history
+            first_invalid = seed, history
     mode = "exhaustive" if args.exhaustive else f"random({args.random})"
     report = {
         "config": _config_echo(args, mode=mode),
@@ -139,7 +140,11 @@ def cmd_check(args) -> int:
         report["note"] = ("k*k < n: the accuracy window is not guaranteed "
                           "in this regime")
     if first_invalid is not None:
-        report["first_invalid"] = json.loads(first_invalid.to_json())
+        seed, history = first_invalid
+        if seed is not None:
+            # `trace --seed` with the same workload replays this run step by step
+            report["first_invalid_seed"] = seed
+        report["first_invalid"] = json.loads(history.to_json())
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     if counts["invalid"]:
         return 1

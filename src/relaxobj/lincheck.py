@@ -153,6 +153,7 @@ def check(history: History, spec: RelaxedSpec,
         if not o.pending:
             required |= 1 << i
     failed: set[tuple[Any, int]] = set()
+    accepts, apply = spec.accepts, spec.apply
 
     def children(state, mask):
         """Scan from the first unlinearized op, yielding (op index, child) for each
@@ -164,10 +165,11 @@ def check(history: History, spec: RelaxedSpec,
                 break  # ops are in invocation order: later ones are invoked later still
             if mask >> i & 1:
                 continue
-            if o.responded is not None and o.responded < earliest:
-                earliest = o.responded
-            if o.pending or spec.accepts(state, o.name, o.args, o.ret):
-                child = (spec.apply(state, o.name, o.args), mask | 1 << i)
+            responded = o.responded
+            if responded is not None and responded < earliest:
+                earliest = responded
+            if responded is None or accepts(state, o.name, o.args, o.ret):
+                child = (apply(state, o.name, o.args), mask | 1 << i)
                 if child not in failed:
                     yield i, child
         failed.add((state, mask))

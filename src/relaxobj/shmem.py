@@ -37,7 +37,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 REGISTER = "register"
 TAS = "tas"
@@ -169,9 +169,12 @@ class LazyCells:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
-    """One history event.  ``step`` is the number of steps executed before it."""
+class Event(NamedTuple):
+    """One history event.  ``step`` is the number of steps executed before it.
+
+    A named tuple: immutable and hashable, and cheap to build, since a
+    recorded run builds two per operation.
+    """
 
     kind: str  # "invoke" | "respond"
     proc: int
@@ -188,7 +191,7 @@ class Event:
         return doc
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One operation extracted from a history."""
 
@@ -216,29 +219,30 @@ class History:
 
     def signature(self) -> tuple:
         """Hashable identity ignoring step indices (used to deduplicate)."""
-        return tuple([(e.kind, e.proc, e.op, e.payload) for e in self.events])
+        return tuple([e[:4] for e in self.events])
 
     def operations(self) -> list[OpRecord]:
         ops: list[OpRecord] = []
         open_by_proc: dict[int, OpRecord] = {}
         counts: dict[int, int] = {}
         for pos, e in enumerate(self.events):
-            if e.kind == "invoke":
-                if e.proc in open_by_proc:
-                    raise ValueError(f"process {e.proc} invoked twice without response")
-                rec = OpRecord(e.proc, counts.get(e.proc, 0), e.op, tuple(e.payload),
-                               invoked=pos)
-                counts[e.proc] = rec.index + 1
-                open_by_proc[e.proc] = rec
+            kind, proc, op, payload, _ = e
+            if kind == "invoke":
+                if proc in open_by_proc:
+                    raise ValueError(f"process {proc} invoked twice without response")
+                index = counts.get(proc, 0)
+                rec = OpRecord(proc, index, op, tuple(payload), None, pos)
+                counts[proc] = index + 1
+                open_by_proc[proc] = rec
                 ops.append(rec)
-            elif e.kind == "respond":
-                rec = open_by_proc.pop(e.proc, None)
-                if rec is None or rec.name != e.op:
+            elif kind == "respond":
+                rec = open_by_proc.pop(proc, None)
+                if rec is None or rec.name != op:
                     raise ValueError(f"response without matching invoke: {e}")
-                rec.ret = e.payload
+                rec.ret = payload
                 rec.responded = pos
             else:
-                raise ValueError(f"unknown event kind {e.kind!r}")
+                raise ValueError(f"unknown event kind {kind!r}")
         return ops
 
     def to_json(self) -> str:

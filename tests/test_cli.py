@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from relaxobj import bench
+from relaxobj import bench, shmem
 from relaxobj.bench import MAX_NATIVE_THREADS, MAX_PROCESSES
 from relaxobj.cli import UsageError, main, parse_workload
 
@@ -91,6 +91,14 @@ def test_check_detects_violation(capsys):
     assert code == 1
     assert doc["invalid"] > 0
     assert "first_invalid" in doc
+    # the reported seed replays the failing run
+    seed = doc["first_invalid_seed"]
+    replay = shmem.run(bench.factory("counter", 9, 2, None), parse_workload(ops, 9),
+                       shmem.seeded(seed)).history
+    assert json.loads(replay.to_json()) == doc["first_invalid"]
+    assert main(["trace", "--object", "counter", "--n", "9", "--k", "2",
+                 "--ops", ops, "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.startswith("# config: subcommand=trace")
 
 
 def test_check_low_count_workload_exhaustive_exit_zero(capsys):

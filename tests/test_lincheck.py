@@ -154,6 +154,17 @@ def test_budget_boundary_is_exact(h, spec):
     assert exact.witness == full.witness
 
 
+@pytest.mark.parametrize("n, ops, seed, states", [
+    (9, 8, 5, 284), (9, 8, 1, 75), (9, 16, 4, 164),
+])
+def test_seeded_search_is_pinned(n, ops, seed, states):
+    # the exact state count pins the search order, not only the verdict
+    h = _seeded_counter_history(n, ops, seed)
+    result = check(h, counter_spec(2))
+    assert (result.verdict, result.states_explored) == ("valid", states)
+    assert_witness_replays(h, counter_spec(2), result.witness)
+
+
 def test_long_histories_return_a_verdict():
     # sequential, like perfbench's depth probe: every fourth op is a read
     events, count = [], 0

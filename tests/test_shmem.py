@@ -344,6 +344,10 @@ def test_history_json_roundtrip():
     assert all(doc["type"] in ("invoke", "respond") for doc in parsed)
     back = History.from_json(text)
     assert back.signature() == result.history.signature()
+    assert back.events == result.history.events  # steps included
+    assert back.signature() == tuple((e.kind, e.proc, e.op, e.payload) for e in back.events)
+    with pytest.raises(AttributeError):
+        back.events[0].step = 1
 
 
 @pytest.mark.parametrize("events", [

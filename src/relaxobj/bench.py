@@ -138,17 +138,6 @@ class ComplexityReport:
             doc["step_bound"] = self.step_bound
         return json.dumps(doc, indent=2)
 
-    def to_csv(self) -> str:
-        # amortized rounds to 6 decimals here; to_json carries it exactly.  It
-        # divides by operations invoked, which exceed a row's completed ops by
-        # the ones in flight (up to n)
-        lines = [f"# config: {self.config.echo()}",
-                 "ops,total_steps,amortized,max_op_steps"]
-        for c in self.checkpoints:
-            lines.append(f"{c.ops},{c.total_steps},{float(c.amortized):.6f},"
-                         f"{c.max_op_steps}")
-        return "\n".join(lines) + "\n"
-
 
 #: operations drawn per dealt block, rounded down to whole rounds of n (at least one)
 _BLOCK_OPS = 1024
@@ -218,8 +207,7 @@ def _measure(config: BenchConfig, workload) -> ComplexityReport:
             break
         # one slot may complete enough operations to cross several marks;
         # advance then runs no slot for the later ones
-        if not runner.advance(slots, until_ops=mark):
-            break
+        runner.advance(slots, until_ops=mark)
         checkpoints.append(_checkpoint(runner))
     runner.advance(slots)
     if not checkpoints or checkpoints[-1].ops != runner.ops_completed:

@@ -154,8 +154,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.native and args.format == "csv":
-        raise UsageError("--format csv is not available with --native, which reports JSON")
     config = bench.BenchConfig(
         object=args.object, n=args.n if args.n is not None else 1, k=args.k,
         m=args.m, total_ops=args.ops, read_fraction=args.read_fraction,
@@ -168,16 +166,11 @@ def cmd_bench(args) -> int:
                 f"exceeds the 64-bit report format; reduce m")
     if args.native:
         report = bench.run_native(config)
-        _emit(report.to_json() + "\n", args.out)
-        return 0
-    if args.object == "counter":
-        result = bench.measure_amortized(config)
+    elif args.object == "counter":
+        report = bench.measure_amortized(config)
     else:
-        result = bench.measure_worst_case(config)
-    if args.format == "csv":
-        _emit(result.to_csv(), args.out)
-    else:
-        _emit(result.to_json() + "\n", args.out)
+        report = bench.measure_worst_case(config)
+    _emit(report.to_json() + "\n", args.out)
     return 0
 
 
@@ -224,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--read-fraction", type=float, default=0.1)
     bench_p.add_argument("--native", action="store_true",
                          help="threads over locked cells; throughput only")
-    bench_p.add_argument("--format", choices=("csv", "json"), default="json")
 
     trace = sub.add_parser("trace", help="dump the per-step trace of one seeded run")
     common(trace)

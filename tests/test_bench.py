@@ -78,6 +78,8 @@ def test_single_process_inc_read_exact_steps():
     report = runner.report()
     assert report.per_op == [[1, 2]]
     assert report.total_steps == 3
+    idle = shmem.Runner(lambda memory: ApproxCounter(memory, 1, 4), [[]])
+    assert idle.report().amortized == 0  # no operation invoked
 
 
 def test_measure_amortized_checkpoints_and_determinism():
@@ -106,6 +108,8 @@ def test_checkpoints_recorded_at_the_slot_that_reaches_them():
 def test_measure_amortized_requires_counter():
     with pytest.raises(ValueError):
         measure_amortized(BenchConfig(object="maxreg-approx", m=16))
+    with pytest.raises(ValueError, match="max register"):
+        measure_worst_case(BenchConfig(object="counter"))
 
 
 def test_worst_case_bound_and_growth():
@@ -190,17 +194,13 @@ def test_simulated_bench_streams_its_workload(measure, config):
     assert peak < 512 * 1024
 
 
-def test_csv_and_json_reports():
+def test_json_report():
     config = BenchConfig(object="counter", n=2, k=2, total_ops=1500,
                          read_fraction=0.2, seed=0)
     report = measure_amortized(config)
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0].startswith("# config: object=counter")
-    assert lines[1] == "ops,total_steps,amortized,max_op_steps"
-    assert len(lines) == 2 + len(report.checkpoints)
     doc = json.loads(report.to_json())
     assert doc["config"].startswith("object=counter")
+    assert len(doc["checkpoints"]) == len(report.checkpoints)
     assert doc["amortized"]["num"] == report.amortized.numerator
 
 

@@ -173,26 +173,21 @@ def test_check_maxreg_requires_m(capsys):
     assert "--m" in capsys.readouterr().err
 
 
-def test_bench_csv_checkpoint_rows(tmp_path):
-    out = tmp_path / "report.csv"
+def test_bench_json_checkpoints(tmp_path):
+    out = tmp_path / "report.json"
     code = main(["bench", "--object", "counter", "--n", "4", "--k", "2",
-                 "--ops", "2000", "--seed", "1", "--format", "csv",
-                 "--out", str(out)])
+                 "--ops", "2000", "--seed", "1", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("# config:")
-    assert lines[1] == "ops,total_steps,amortized,max_op_steps"
-    assert len(lines) == 4  # the 10^3 checkpoint plus the final sample
+    doc = json.loads(out.read_text())
+    assert doc["config"].startswith("object=counter")
+    assert len(doc["checkpoints"]) == 2  # the 10^3 checkpoint plus the final sample
 
 
-def test_bench_csv_four_checkpoints_at_a_million_ops(tmp_path):
-    out = tmp_path / "report.csv"
+def test_bench_four_checkpoints_at_a_million_ops(capsys):
     code = main(["bench", "--object", "counter", "--n", "16", "--k", "4",
-                 "--ops", "1000000", "--seed", "1", "--format", "csv",
-                 "--out", str(out)])
+                 "--ops", "1000000", "--seed", "1"])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 6  # config echo + header + 4 checkpoint rows
+    assert len(json.loads(capsys.readouterr().out)["checkpoints"]) == 4
 
 
 def test_bench_overflow_guard(capsys):
@@ -247,16 +242,17 @@ def test_bench_native_thread_cap_usage_error(capsys, monkeypatch):
     assert "at most" in capsys.readouterr().err
 
 
-def test_bench_native_csv_usage_error(capsys, monkeypatch):
+def test_bench_native_csv_usage_error(monkeypatch):
     def no_run(config):
-        raise AssertionError("the native run was started")
+        raise AssertionError("a run was started")
 
     monkeypatch.setattr(bench, "run_native", no_run)
-    code = main(["bench", "--native", "--object", "counter", "--n", "2",
-                 "--ops", "10", "--format", "csv"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "--format csv" in err and "--native" in err
+    monkeypatch.setattr(bench, "measure_amortized", no_run)
+    for argv in (["--format", "csv"], ["--native", "--format", "csv"],
+                 ["--format", "json"]):
+        with pytest.raises(SystemExit) as err:  # bench reports JSON only
+            main(["bench", "--object", "counter", "--n", "2", "--ops", "10", *argv])
+        assert err.value.code == 2
 
 
 def test_bench_native_ops_cap_usage_error(capsys, monkeypatch):

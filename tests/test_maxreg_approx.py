@@ -77,6 +77,8 @@ def test_validation():
         reg.program(0, "write", (0,))
     with pytest.raises(ValueError):
         reg.program(0, "write", (256,))
+    with pytest.raises(ValueError, match="unknown operation"):
+        reg.program(0, "inc", ())
 
 
 def test_inner_capacity():

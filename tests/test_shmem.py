@@ -348,6 +348,10 @@ def test_history_json_roundtrip():
     assert back.signature() == tuple((e.kind, e.proc, e.op, e.payload) for e in back.events)
     with pytest.raises(AttributeError):
         back.events[0].step = 1
+    # a tuple return value comes back from JSON's list as a tuple
+    pair = History([shmem.Event("invoke", 0, "read", (), 0),
+                    shmem.Event("respond", 0, "read", (3, 1), 1)])
+    assert History.from_json(pair.to_json()).events == pair.events
 
 
 @pytest.mark.parametrize("events", [

@@ -58,16 +58,15 @@ def return_value(p: int, q: int, k: int) -> int:
     """Counter value encoded by a confirmed ladder bit at index q*k + p.
 
     Sums the increments guaranteed by bit 0 (one), by the k bits of each
-    full interval below q (k**(l+1) each), and by p bits of interval q
-    itself, then scales by k to center the estimate in the accuracy
-    window.  Pure arithmetic; charges no steps.
+    full interval l = 1 .. q below (k**(l+1) each), and by p bits of
+    interval q itself, then scales by k to center the estimate in the
+    accuracy window.  The interval terms form a geometric series, summed
+    in closed form: k**2 + ... + k**(q+1) = (k**(q+2) - k**2) / (k - 1),
+    a division that is exact.  Pure arithmetic; charges no steps.
     """
     if k < 2 or p < 0 or q < 0:
         raise ValueError("need k >= 2 and p, q >= 0")
-    ret = 1 + p * k ** (q + 1)
-    for l in range(1, q + 1):
-        ret += k ** (l + 1)
-    return k * ret
+    return k * (1 + p * k ** (q + 1) + (k ** (q + 2) - k * k) // (k - 1))
 
 
 @dataclass
@@ -131,7 +130,7 @@ class ApproxCounter:
         j = st.limit_exp  # limit == k**j == lcounter
         if j > 0:
             for index in range((j - 1) * k + st.l0, j * k + 1):
-                if (yield ("tas", self.switches.cell(index))) == 0:
+                if (yield ("tas", self.switches[index])) == 0:
                     st.sn += 1
                     yield ("write", self.announce[pid], (index, st.sn))
                     st.lcounter = 0
@@ -142,7 +141,7 @@ class ApproxCounter:
                     return
             st.l0 = 1
         else:
-            if (yield ("tas", self.switches.cell(0))) == 0:
+            if (yield ("tas", self.switches[0])) == 0:
                 st.lcounter = 0
             elif pid >= k:
                 # Claim the first free unit bit; st.units bits are known set.
@@ -162,7 +161,7 @@ class ApproxCounter:
         baseline = None  # announce sequence numbers at the first boundary
         rechecked = False
         while True:
-            while (yield ("read", self.switches.cell(st.last))) != 0:
+            while (yield ("read", self.switches[st.last])) != 0:
                 st.last_confirmed = st.last
                 if st.last % k == 0:
                     st.last += 1
@@ -201,10 +200,10 @@ class ApproxCounter:
     # inspection helpers (simulator-level, never charge steps)
 
     def set_indexes(self) -> list[int]:
-        return sorted(i for i, cell in self.switches.cells.items() if cell.value)
+        return sorted(i for i, cell in self.switches.items() if cell.value)
 
     def switch_oid_to_index(self) -> dict[int, int]:
-        return {cell.oid: i for i, cell in self.switches.cells.items()}
+        return {cell.oid: i for i, cell in self.switches.items()}
 
     def unit_oid_to_index(self) -> dict[int, int]:
         return {cell.oid: j for j, cell in enumerate(self.units)}

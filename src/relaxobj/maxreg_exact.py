@@ -53,7 +53,7 @@ class BoundedMaxRegister:
         node, capacity, raises = 1, self.capacity, []
         while capacity > 1:
             split = (capacity + 1) // 2
-            switch = self.switches.cell(node)
+            switch = self.switches[node]
             if v >= split:
                 raises.append(switch)
                 node, capacity, v = 2 * node + 1, capacity // 2, v - split
@@ -68,7 +68,7 @@ class BoundedMaxRegister:
         node, capacity, value = 1, self.capacity, 0
         while capacity > 1:
             split = (capacity + 1) // 2
-            if (yield ("read", self.switches.cell(node))) == 1:
+            if (yield ("read", self.switches[node])) == 1:
                 node, capacity, value = 2 * node + 1, capacity // 2, value + split
             else:
                 node, capacity = 2 * node, split

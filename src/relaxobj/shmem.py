@@ -141,10 +141,12 @@ def drive(gen, memory: Memory) -> Any:
         return stop.value
 
 
-class LazyCells:
+class LazyCells(dict):
     """Cells of one kind, keyed by integer index, each allocated on first touch.
 
-    ``cells`` maps each touched index to its cell, which starts at 0.
+    A dict from each touched index to its cell, which starts at 0: looking
+    up an index no operation has touched allocates its cell.  A touched
+    index is found by the dict's own lookup, with no Python call.
     Allocation is a simulator-level event and never charges a step, so
     memory grows with the indexes operations touch, not with the range
     they could touch.  A new cell is published with ``dict.setdefault``,
@@ -152,16 +154,14 @@ class LazyCells:
     native threads share the one cell that was published first.
     """
 
+    __slots__ = ("_memory", "_kind")
+
     def __init__(self, memory: Memory, kind: str) -> None:
         self._memory = memory
         self._kind = kind
-        self.cells: dict[int, Cell] = {}
 
-    def cell(self, index: int) -> Cell:
-        cell = self.cells.get(index)
-        if cell is None:
-            cell = self.cells.setdefault(index, self._memory.alloc(self._kind, 0))
-        return cell
+    def __missing__(self, index: int) -> Cell:
+        return self.setdefault(index, self._memory.alloc(self._kind, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +378,19 @@ class Runner:
             return True
         return False
 
-    def advance(self, pids, until_ops: int | None = None) -> bool:
-        """Run one slot per pid; returns True once ``ops_completed >= until_ops``.
+    def advance(self, pids, until_ops: int | None = None) -> None:
+        """Run one slot per pid until ``ops_completed >= until_ops``.
 
-        Stops at that slot, so an iterator of pids can resume in a later call;
-        a target already met runs no slot.
+        Stops at the slot that reaches the target, so an iterator of pids can
+        resume in a later call; a target already met runs no slot.
         """
         if until_ops is not None and self.ops_completed >= until_ops:
-            return True
+            return
         step = self.step
         for p in pids:
             # only a slot that completes an operation moves ops_completed
             if step(p) and until_ops is not None and self.ops_completed >= until_ops:
-                return True
-        return False
+                return
 
     def report(self) -> StepReport:
         """Step accounting so far; each in-flight operation counts its steps so far."""

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from relaxobj import check, counter_spec, return_value, run, seeded
+from relaxobj import bench, check, counter_spec, return_value, run, seeded
+from relaxobj.bench import BenchConfig
 from relaxobj.counter import ApproxCounter
 from relaxobj.shmem import Memory, drive
 from support import random_counter_workload, solo
@@ -20,6 +21,31 @@ def test_return_value_k4():
     assert return_value(0, 0, 4) == 4
     assert return_value(1, 0, 4) == 20
     assert return_value(0, 1, 4) == 68
+
+
+def _summed_return_value(p, q, k):
+    # the defining sum k*(1 + p*k**(q+1) + sum of k**(l+1) for l = 1..q), term by term
+    ret = 1 + p * k ** (q + 1)
+    for l in range(1, q + 1):
+        ret += k ** (l + 1)
+    return k * ret
+
+
+def test_return_value_equals_its_defining_sum():
+    for k in range(2, 9):
+        for q in range(41):
+            for p in range(k + 1):
+                assert return_value(p, q, k) == _summed_return_value(p, q, k), (p, q, k)
+
+
+def test_seeded_deep_ladder_reads_are_pinned():
+    # read values appear in no bench report, so a wrong return value shows here
+    config = BenchConfig(object="counter", n=16, k=4, total_ops=10**5,
+                         read_fraction=0.1, seed=1)
+    result = run(bench.factory("counter", 16, 4, None), bench._workload(config), seeded(2))
+    reads = [e.payload for e in result.history if e.kind == "respond" and e.op == "read"]
+    assert (len(reads), sum(reads), max(reads)) == (9974, 360131960, 87364)
+    assert max(result.instance.set_indexes()) == 24
 
 
 def test_return_value_rejects_bad_args():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -75,11 +76,40 @@ def test_illegal_primitive_kind_combinations(memory_class):
 def test_lazy_cells_allocate_on_first_touch_without_steps(kind):
     mem = Memory()
     cells = LazyCells(mem, kind)
-    cell = cells.cell(70)
+    cell = cells[70]
     assert mem.cells == [cell]  # touching index 70 allocates exactly one cell
     assert (cell.kind, cell.value) == (kind, 0)
-    assert cell is cells.cell(70)
+    assert cell is cells[70]
     assert mem.steps == 0  # allocation is never a charged step
+
+
+def test_lazy_cells_concurrent_first_touch_shares_the_first_published_cell():
+    mem = NativeMemory()
+    cells = LazyCells(mem, shmem.TAS)
+    both_allocated = threading.Barrier(2, timeout=10)
+    alloc = mem.alloc
+
+    def alloc_then_wait(kind, initial):
+        # both threads allocate before either publishes its cell
+        cell = alloc(kind, initial)
+        both_allocated.wait()
+        return cell
+
+    mem.alloc = alloc_then_wait
+    touched = [None, None]
+
+    def touch(i):
+        touched[i] = cells[3]
+
+    threads = [threading.Thread(target=touch, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert touched[0] is touched[1]
+    assert len(mem.cells) == 2  # each thread allocated a cell
+    assert cells == {3: touched[0]}  # only the first one published
 
 
 def test_sequential_schedule_completes_both_processes():
@@ -165,7 +195,8 @@ def _advance_runner(pids):
 
 def test_advance_with_target_met_runs_no_slot():
     runner, pids = _advance_runner([0, 1])
-    assert runner.advance(pids, until_ops=0)
+    runner.advance(pids, until_ops=0)
+    assert runner.ops_completed == 0
     assert runner.schedule == [] and runner.memory.steps == 0
     assert next(pids) == 0
 
@@ -173,12 +204,12 @@ def test_advance_with_target_met_runs_no_slot():
 def test_advance_stops_at_the_completing_slot_and_resumes():
     runner, pids = _advance_runner([0, 1, 2, 1, 0])
     # slot 0 completes an operation short of the target; slot 2 reaches it
-    assert runner.advance(pids, until_ops=2)
+    runner.advance(pids, until_ops=2)
     assert runner.schedule == [0, 1, 2] and runner.ops_completed == 2
-    assert runner.advance(pids, until_ops=3)
+    runner.advance(pids, until_ops=3)
     assert runner.schedule == [0, 1, 2, 1] and runner.ops_completed == 3
-    assert not runner.advance(pids, until_ops=4)  # the last slot is a skip
-    assert runner.schedule == [0, 1, 2, 1, 0]
+    runner.advance(pids, until_ops=4)  # the last slot is a skip, short of the target
+    assert runner.schedule == [0, 1, 2, 1, 0] and runner.ops_completed == 3
 
 
 def test_step_conservation():

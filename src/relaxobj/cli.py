@@ -16,10 +16,6 @@ import random
 import sys
 
 from . import bench, lincheck, shmem
-from .maxreg_approx import ApproxMaxRegister
-
-#: widest value the fixed-width report formats carry
-REPORT_VALUE_LIMIT = 2**64 - 1
 
 
 class UsageError(Exception):
@@ -158,12 +154,6 @@ def cmd_bench(args) -> int:
         object=args.object, n=args.n if args.n is not None else 1, k=args.k,
         m=args.m, total_ops=args.ops, read_fraction=args.read_fraction,
         seed=args.seed, mode="native" if args.native else "simulated")
-    if config.object == "maxreg-approx":
-        register = ApproxMaxRegister(shmem.Memory(), config.k, config.m)
-        if register.max_read_value() > REPORT_VALUE_LIMIT:
-            raise UsageError(
-                f"overflow guard: largest read value {config.k}^{register.capacity - 1} "
-                f"exceeds the 64-bit report format; reduce m")
     if args.native:
         report = bench.run_native(config)
     elif args.object == "counter":

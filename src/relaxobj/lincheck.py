@@ -13,11 +13,17 @@ checker is free to include it or leave it out.
 
 Two search routines are provided.  :func:`check` is the production path:
 an iterative depth-first search, with no recursion and so no depth limit,
-memoized on (abstract state, bitmask of linearized operations).  Only an
-operation invoked before the first response among the unlinearized ones
-invoked before it may go next (the frontier rule of Wing & Gong).
-:func:`check_bruteforce` enumerates precedence-respecting permutations
-outright and replays each one: the ground-truth oracle for small histories.
+that keeps one plain frame per state on its path and memoizes failed
+states on (abstract state, lo, rel).  ``lo`` is the first unlinearized
+operation and ``rel`` the bitmask of linearized ones from ``lo`` on, so
+a key and a frame are as wide as the window of operations still open,
+not as the history: memory grows linearly with history length, which
+lets a seeded 10^5-operation counter history get its verdict.
+Only an operation invoked before the first response among the
+unlinearized ones invoked before it may go next (the frontier rule of
+Wing & Gong).  :func:`check_bruteforce` enumerates precedence-respecting
+permutations outright and replays each one: the ground-truth oracle for
+small histories.
 """
 
 from __future__ import annotations
@@ -148,47 +154,62 @@ def check(history: History, spec: RelaxedSpec,
     a blown budget yields "inconclusive".
     """
     ops = _usable_ops(history, spec)
-    required = 0
-    for i, o in enumerate(ops):
-        if not o.pending:
-            required |= 1 << i
-    failed: set[tuple[Any, int]] = set()
+    count = len(ops)
+    completed = count - [o.responded for o in ops].count(None)
+    failed: set[tuple[Any, int, int]] = set()
     accepts, apply = spec.accepts, spec.apply
+    inf = float("inf")
 
-    def children(state, mask):
-        """Scan from the first unlinearized op, yielding (op index, child) for each
-        unfailed child the frontier rule admits; when done, mark this state failed."""
-        earliest = float("inf")  # first response among unlinearized ops passed
-        for i in range((~mask & (mask + 1)).bit_length() - 1, len(ops)):
-            o = ops[i]
-            if o.invoked > earliest:
-                break  # ops are in invocation order: later ones are invoked later still
-            if mask >> i & 1:
-                continue
-            responded = o.responded
-            if responded is not None and responded < earliest:
-                earliest = responded
-            if responded is None or accepts(state, o.name, o.args, o.ret):
-                child = (apply(state, o.name, o.args), mask | 1 << i)
-                if child not in failed:
-                    yield i, child
-        failed.add((state, mask))
-
+    # One frame per state on the current path: [state, lo, rel, completed ops
+    # linearized, next op index to scan, first response among the unlinearized
+    # ops scanned (the frontier)]; below the top, the op taken is the one
+    # before the next to scan.  Op j is linearized iff j < lo or bit j - lo of
+    # rel is set.  Op lo never is, so bit 0 of rel is clear and each
+    # linearized set has exactly one (lo, rel).
     explored = 0
-    path = []  # [children, op index taken] for each state on the current path
-    state, mask = spec.initial, 0
+    path = []
+    state, lo, rel, done, i, earliest = spec.initial, 0, 0, 0, 0, inf
     while True:
-        if mask & required == required:
-            return CheckResult("valid", [ops[i] for _, i in path], explored)
+        if done == completed:
+            return CheckResult("valid", [ops[f[4] - 1] for f in path], explored)
         explored += 1
         if explored > state_budget:
             return CheckResult("inconclusive", None, explored)
-        path.append([children(state, mask), None])
-        while (step := next(path[-1][0], None)) is None:
-            path.pop()
-            if not path:
-                return CheckResult("invalid", None, explored)
-        path[-1][1], (state, mask) = step
+        frame = [state, lo, rel, done, i, earliest]
+        path.append(frame)
+        while True:  # scan the top frame from op i for its next unfailed child
+            # ops are in invocation order: the scan stops at the first one
+            # invoked after the frontier, as every later one is too
+            while i < count and (o := ops[i]).invoked <= earliest:
+                bit = i - lo
+                i += 1
+                if rel >> bit & 1:
+                    continue
+                responded = o.responded
+                if responded is not None and responded < earliest:
+                    earliest = responded
+                if responded is None or accepts(state, o.name, o.args, o.ret):
+                    if bit:
+                        child_lo, child_rel = lo, rel | 1 << bit
+                    else:  # op lo goes: slide the window past the linearized run
+                        child_rel = rel >> 1
+                        ones = (~child_rel & (child_rel + 1)).bit_length() - 1
+                        child_lo, child_rel = lo + 1 + ones, child_rel >> ones
+                    child = (apply(state, o.name, o.args), child_lo, child_rel)
+                    if child not in failed:
+                        break
+            else:
+                failed.add((state, lo, rel))
+                path.pop()
+                if not path:
+                    return CheckResult("invalid", None, explored)
+                state, lo, rel, done, i, earliest = frame = path[-1]
+                continue
+            frame[4:] = i, earliest
+            state, lo, rel = child
+            done += responded is not None
+            i, earliest = lo, inf
+            break
 
 
 def check_bruteforce(history: History, spec: RelaxedSpec) -> CheckResult:

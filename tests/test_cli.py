@@ -190,16 +190,11 @@ def test_bench_four_checkpoints_at_a_million_ops(capsys):
     assert len(json.loads(capsys.readouterr().out)["checkpoints"]) == 4
 
 
-def test_bench_overflow_guard(capsys):
+@pytest.mark.parametrize("m", [2**63, 2**64, 2**80], ids=["2**63", "2**64", "2**80"])
+def test_bench_maxreg_approx_reads_past_64_bits(m, capsys):
+    # the JSON report carries step counts, and Python writes integers at any width
     code = main(["bench", "--object", "maxreg-approx", "--k", "2",
-                 "--m", str(2**64), "--ops", "10"])
-    assert code == 2
-    assert "overflow guard" in capsys.readouterr().err
-
-
-def test_bench_just_under_guard(capsys):
-    code = main(["bench", "--object", "maxreg-approx", "--k", "2",
-                 "--m", str(2**63), "--ops", "50", "--seed", "1"])
+                 "--m", str(m), "--ops", "50", "--seed", "1"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_op_steps"] <= doc["step_bound"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from relaxobj import (ApproxCounter, check, check_bruteforce, counter_spec,
                       maxreg_approx_spec, maxreg_exact_spec, run, seeded)
-from relaxobj.bench import OBJECTS
+from relaxobj import bench
 from relaxobj.shmem import Event, History
 
 
@@ -61,7 +62,7 @@ def test_counter_concurrent_read_valid():
 
 
 def test_builtin_window_predicates():
-    specs = {name: spec(4) for name, (_, spec) in OBJECTS.items()}
+    specs = {name: spec(4) for name, (_, spec) in bench.OBJECTS.items()}
     counter = specs["counter"]
     assert counter.accepts(5, "read", (), 20)  # 5/4 <= 20 <= 20
     assert not counter.accepts(5, "read", (), 21)
@@ -165,6 +166,41 @@ def test_seeded_search_is_pinned(n, ops, seed, states):
     assert_witness_replays(h, counter_spec(2), result.witness)
 
 
+def _check_long_history(n, ops, seed, index):
+    """History ``index`` of a pool drawn as perfbench's check-long draws it."""
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        workload = [[] for _ in range(n)]
+        for i in range(ops):
+            op = ("read", ()) if rng.random() < 0.3 else ("inc", ())
+            workload[i % n].append(op)
+        run_seed = rng.randrange(2**62)
+    return run(lambda memory: ApproxCounter(memory, n, 2), workload,
+               seeded(run_seed)).history
+
+
+CHECK_LONG_WITNESS = (
+    "0312031123111221102223311111110000011202223330032000111222233322"
+    "2022222222223333111111222211133211102222211112222220002222222222"
+    "2200003333322200033311111113300111222201333300111111111011031111"
+    "1103333000000000000000333333333333333330003300003333330330000000")
+
+
+@pytest.mark.parametrize("n, ops, index, verdict, states, procs", [
+    (4, 256, 0, "valid", 262, CHECK_LONG_WITNESS),
+    (9, 64, 8, "invalid", 6_658, None),  # the backtracking case
+], ids=["check-long-256", "invalid-n9"])
+def test_search_order_is_pinned(n, ops, index, verdict, states, procs):
+    # a witness that replays lists each process's operations in their
+    # order, so its sequence of processes pins the whole (proc, index) list
+    h = _check_long_history(n, ops, 1, index)
+    result = check(h, counter_spec(2))
+    witness = result.witness and "".join(str(o.proc) for o in result.witness)
+    assert (result.verdict, result.states_explored, witness) == (verdict, states, procs)
+    if result.valid:
+        assert_witness_replays(h, counter_spec(2), result.witness)
+
+
 def test_long_histories_return_a_verdict():
     # sequential, like perfbench's depth probe: every fourth op is a read
     events, count = [], 0
@@ -179,6 +215,33 @@ def test_long_histories_return_a_verdict():
     concurrent = _seeded_counter_history(4, 2_500, 2)
     assert len(concurrent.operations()) == 10_000
     assert check(concurrent, counter_spec(2)).valid
+
+
+def _bench_counter_history(ops):
+    """bench's seeded ApproxCounter(4, 2) workload (seed 1) under schedule seed 2."""
+    config = bench.BenchConfig(object="counter", n=4, k=2, total_ops=ops, seed=1)
+    return run(bench.factory("counter", 4, 2, None), bench._workload(config),
+               seeded(2)).history
+
+
+def test_hundred_thousand_op_history_gets_a_verdict():
+    result = check(_bench_counter_history(100_000), counter_spec(2))
+    assert (result.verdict, result.states_explored) == ("valid", 100_003)
+
+
+def _check_peak_bytes(h):
+    tracemalloc.start()
+    try:
+        assert check(h, counter_spec(2)).valid
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_memory_grows_linearly_with_history_length():
+    # a quadratic search (full-width linearized sets) gives about 2.9 here
+    short, long = _bench_counter_history(10_000), _bench_counter_history(20_000)
+    assert _check_peak_bytes(long) < 2.5 * _check_peak_bytes(short)
 
 
 def test_bruteforce_matches_examples():

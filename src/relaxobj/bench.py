@@ -116,21 +116,19 @@ class ComplexityReport:
     step_bound: int | None = None  # analytic per-op bound, where one exists
 
     def to_json(self) -> str:
+        def exact(f: Fraction) -> dict:
+            return {"num": f.numerator, "den": f.denominator, "value": float(f)}
+
         doc: dict[str, Any] = {
             "config": self.config.echo(),
             "checkpoints": [
                 {"ops": c.ops, "total_steps": c.total_steps,
-                 "amortized": {"num": c.amortized.numerator,
-                               "den": c.amortized.denominator,
-                               "value": float(c.amortized)},
-                 "max_op_steps": c.max_op_steps}
+                 "amortized": exact(c.amortized), "max_op_steps": c.max_op_steps}
                 for c in self.checkpoints
             ],
             "total_ops": self.total_ops,
             "total_steps": self.total_steps,
-            "amortized": {"num": self.amortized.numerator,
-                          "den": self.amortized.denominator,
-                          "value": float(self.amortized)},
+            "amortized": exact(self.amortized),
             "max_op_steps": self.max_op_steps,
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }

@@ -140,7 +140,7 @@ def cmd_check(args) -> int:
         if seed is not None:
             # `trace --seed` with the same workload replays this run step by step
             report["first_invalid_seed"] = seed
-        report["first_invalid"] = json.loads(history.to_json())
+        report["first_invalid"] = [event.to_json() for event in history]
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     if counts["invalid"]:
         return 1

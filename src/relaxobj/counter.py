@@ -134,22 +134,20 @@ class ApproxCounter:
                     st.sn += 1
                     yield ("write", self.announce[pid], (index, st.sn))
                     st.lcounter = 0
-                    if index == j * k:
-                        st.limit *= k
-                        st.limit_exp += 1
-                    st.l0 = 1 + index % k
-                    return
+                    if index < j * k:
+                        st.l0 = 1 + index % k
+                        return
+                    break  # the interval's last bit: the threshold grows
             st.l0 = 1
-        else:
-            if (yield ("tas", self.switches[0])) == 0:
-                st.lcounter = 0
-            elif pid >= k:
-                # Claim the first free unit bit; st.units bits are known set.
-                while st.units < len(self.units):
-                    won = (yield ("tas", self.units[st.units])) == 0
-                    st.units += 1
-                    if won:
-                        break
+        elif (yield ("tas", self.switches[0])) == 0:
+            st.lcounter = 0
+        elif pid >= k:
+            # Claim the first free unit bit; st.units bits are known set.
+            while st.units < len(self.units):
+                won = (yield ("tas", self.units[st.units])) == 0
+                st.units += 1
+                if won:
+                    break
         st.limit *= k
         st.limit_exp += 1
 
@@ -158,7 +156,7 @@ class ApproxCounter:
         k = self.k
         n = self.n
         iterations = 0
-        baseline = None  # announce sequence numbers at the first boundary
+        baseline = []  # announce sequence numbers at the first boundary
         rechecked = False
         while True:
             while (yield ("read", self.switches[st.last])) != 0:
@@ -171,16 +169,12 @@ class ApproxCounter:
                 # Helping is vacuous solo: a process cannot advance its own
                 # sequence number while it is reading.
                 if n > 1 and iterations % n == 0:
-                    if iterations == n:
-                        baseline = []
-                        for other in range(n):
-                            pair = yield ("read", self.announce[other])
-                            baseline.append(pair[1])
-                    else:
-                        for other in range(n):
-                            index, sn = yield ("read", self.announce[other])
-                            if sn - baseline[other] >= 2:
-                                return return_value(index % k, index // k, k)
+                    for other in range(n):
+                        index, sn = yield ("read", self.announce[other])
+                        if iterations == n:
+                            baseline.append(sn)
+                        elif sn - baseline[other] >= 2:
+                            return return_value(index % k, index // k, k)
             if st.last_confirmed != 0 or rechecked:
                 break
             # Only bit 0 confirmed: count the unit bits claimed so far.

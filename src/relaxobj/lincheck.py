@@ -118,18 +118,6 @@ class CheckResult:
     def valid(self) -> bool:
         return self.verdict == "valid"
 
-    def to_json(self) -> dict:
-        doc: dict[str, Any] = {
-            "verdict": self.verdict,
-            "states_explored": self.states_explored,
-        }
-        if self.witness is not None:
-            doc["witness"] = [
-                {"proc": o.proc, "op": o.name, "args": list(o.args), "ret": o.ret}
-                for o in self.witness
-            ]
-        return doc
-
 
 def _usable_ops(history: History, spec: RelaxedSpec) -> list[OpRecord]:
     return [o for o in history.operations() if not o.pending or o.name in spec.updates]

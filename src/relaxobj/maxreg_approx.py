@@ -56,10 +56,6 @@ class ApproxMaxRegister:
         #: analytic worst case accesses for any single operation
         self.step_bound = self.inner.depth + 1
 
-    def max_read_value(self) -> int:
-        """Largest value any read can ever return."""
-        return self.k ** (self.capacity - 1)
-
     def program(self, pid: int, op: str, args: tuple = ()):
         if op == "write":
             (v,) = args

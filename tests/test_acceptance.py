@@ -318,6 +318,14 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
         # the reader never observed an unset ladder bit: genuinely starved
         ladder = counter.switch_oid_to_index()
         assert all(t[5] == 1 for t in reader_steps if t[2] in ladder)
+        # exact path: 16 ladder bits, the snapshot of all 16 announce
+        # entries, 16 more bits, then the rescan stops at entry 1
+        cells = [("bit", ladder[t[2]]) if t[2] in ladder else ("announce", announce_of[t[2]])
+                 for t in reader_steps]
+        assert cells == ([("bit", i) for i in range(16)]
+                         + [("announce", p) for p in range(16)]
+                         + [("bit", i) for i in range(16, 32)]
+                         + [("announce", 0), ("announce", 1)])
         # and the rescuing process claimed >= 2 bits after the snapshot,
         # within the read's invocation..response window
         claims = [t for t in runner.trace

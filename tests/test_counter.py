@@ -78,6 +78,20 @@ def test_fifth_increment_claims_bit_one():
     assert st.l0 == 2
 
 
+def test_interval_end_claim_grows_the_threshold():
+    # k=2: the third increment claims bit 1, the fifth bit 2, the end of interval 1
+    mem = Memory()
+    counter = ApproxCounter(mem, 1, 2)
+    solo(counter, mem, [INC] * 5)
+    st = counter.states[0]
+    assert counter.set_indexes() == [0, 1, 2]
+    assert counter.announce[0].value == (2, 2)
+    assert (st.lcounter, st.limit, st.limit_exp, st.sn, st.l0) == (0, 4, 2, 2, 1)
+    assert mem.steps == 5
+    factory = lambda memory: ApproxCounter(memory, 1, 2)
+    assert run(factory, [[INC] * 5], [0] * 10).report.per_op == [[1, 0, 2, 0, 2]]
+
+
 def test_read_after_one_increment():
     mem = Memory()
     counter = ApproxCounter(mem, 1, 4)

@@ -291,10 +291,6 @@ def test_check_accepts_json_history():
     parsed = History.from_json(h.to_json())
     result = check(parsed, counter_spec(2))
     assert result.valid
-    doc = result.to_json()
-    assert doc["verdict"] == "valid"
-    assert doc["states_explored"] >= 0
-    assert {"proc", "op", "args", "ret"} <= set(doc["witness"][0])
 
 
 def test_spec_validation():

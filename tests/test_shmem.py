@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 from relaxobj import bench, check, counter_spec, shmem
 from relaxobj.cli import parse_workload
+from relaxobj.counter import ApproxCounter
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
                             Runner, distinct_histories, enumerate_interleavings, run,
                             seeded, trace_lines)
-from support import SpinInstance, spin_workload
+from support import SpinInstance, random_counter_workload, spin_workload
 
 
 def test_alloc_initial_values():
@@ -383,6 +384,44 @@ def test_history_json_roundtrip():
     pair = History([shmem.Event("invoke", 0, "read", (), 0),
                     shmem.Event("respond", 0, "read", (3, 1), 1)])
     assert History.from_json(pair.to_json()).events == pair.events
+
+
+def _operation_tuples(history):
+    return [(o.proc, o.index, o.name, o.args, o.ret, o.invoked, o.responded)
+            for o in history.operations()]
+
+
+def _check_outcome(history, spec):
+    result = check(history, spec)
+    witness = None if result.witness is None else [(o.proc, o.index) for o in result.witness]
+    return result.verdict, result.states_explored, witness
+
+
+def test_runner_records_plain_tuples_and_history_hands_out_events():
+    # the Runner records plain tuples, built far faster than named tuples;
+    # a History rebuilt from its Event views reads, serializes and checks
+    # exactly as the recorded one does
+    leaves = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        workload = random_counter_workload(rng, 4, 24)
+        leaves.append(run(lambda mem: ApproxCounter(mem, 4, 2), workload,
+                          seeded(rng.randrange(2**62))))
+    criterion_5a = [[("inc", ()), ("inc", ()), ("read", ()), ("inc", ())],
+                    [("inc", ()), ("read", ()), ("inc", ()), ("read", ())]]
+    leaves += enumerate_interleavings(lambda mem: ApproxCounter(mem, 2, 2), criterion_5a,
+                                      reduction="dpor")
+    spec = counter_spec(2)
+    for result in leaves:
+        history = result.history
+        assert all(type(e) is tuple for e in result.runner.events)
+        assert all(type(e) is shmem.Event for e in history.events)
+        assert all(type(e) is shmem.Event for e in list(history))
+        copy = History(history.events)
+        assert copy.signature() == history.signature()
+        assert copy.to_json() == history.to_json()
+        assert _operation_tuples(copy) == _operation_tuples(history)
+        assert _check_outcome(copy, spec) == _check_outcome(history, spec)
 
 
 @pytest.mark.parametrize("events", [

@@ -82,11 +82,8 @@ class BenchConfig:
             raise ValueError(f"unknown object {self.object!r}")
         if self.mode not in ("simulated", "native"):
             raise ValueError(f"mode must be 'simulated' or 'native', not {self.mode!r}")
-        if self.object.startswith("maxreg"):
-            if self.m is None:
-                raise ValueError("max registers need the value bound m")
-            if self.m < 2:
-                raise ValueError(f"m must be >= 2 for {self.object}, not {self.m}")
+        if self.object.startswith("maxreg") and (self.m is None or self.m < 2):
+            raise ValueError(f"m must be >= 2 for {self.object}, not {self.m}")
         if self.object != "maxreg-exact" and self.k < 2:
             raise ValueError(f"k must be >= 2 for {self.object}, not {self.k}")
 
@@ -249,7 +246,7 @@ def run_sequential(config: BenchConfig) -> list[list[Any]]:
     Reference output for single-thread native runs.
     """
     memory = shmem.Memory()
-    instance = OBJECTS[config.object][0](memory, config.n, config.k, config.m)
+    instance = factory(config.object, config.n, config.k, config.m)(memory)
     return [[drive(instance.program(pid, name, args), memory) for name, args in ops]
             for pid, ops in enumerate(_workload(config))]
 
@@ -283,7 +280,7 @@ def run_native(config: BenchConfig) -> NativeReport:
     # lists, so the threads share no dealer inside the timed loop
     workload = [list(ops) for ops in _workload(config)]
     memory = NativeMemory()
-    instance = OBJECTS[config.object][0](memory, config.n, config.k, config.m)
+    instance = factory(config.object, config.n, config.k, config.m)(memory)
     responses: list[list[Any]] = [[] for _ in range(config.n)]
     barrier = threading.Barrier(config.n)
 

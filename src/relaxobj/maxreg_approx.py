@@ -61,11 +61,11 @@ class ApproxMaxRegister:
             (v,) = args
             if not isinstance(v, int) or not 1 <= v <= self.m - 1:
                 raise ValueError(f"write value {v!r} outside [1, {self.m - 1}]")
-            return self.inner._write(floor_log(self.k, v) + 1)
+            return self.inner.program(pid, "write", (floor_log(self.k, v) + 1,))
         if op == "read":
-            return self._read()
+            return self._read(pid)
         raise ValueError(f"unknown operation {op!r}")
 
-    def _read(self):
-        index = yield from self.inner._read()
+    def _read(self, pid: int):
+        index = yield from self.inner.program(pid, "read")
         return 0 if index == 0 else self.k ** index

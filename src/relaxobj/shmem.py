@@ -222,16 +222,12 @@ class History:
     :class:`Event`'s field order, plain ones as the :class:`Runner` and
     :meth:`from_json` build them, or ``Event`` values, which are 5-tuples
     too.  :meth:`signature`, :meth:`operations` and :meth:`to_json` read
-    the stored tuples; ``events`` and iteration hand each out as an
-    ``Event``, built when it is read.
+    the stored tuples; the events are read by iterating the history, which
+    hands each out as an ``Event``, built when it is read.
     """
 
     def __init__(self, events: list[tuple]) -> None:
         self._events = events
-
-    @property
-    def events(self) -> list[Event]:
-        return list(map(Event._make, self._events))
 
     def __iter__(self) -> Iterator[Event]:
         return map(Event._make, self._events)
@@ -471,7 +467,7 @@ class RunResult:
 
 
 def run(factory: Callable[[Memory], Any], workload, schedule,
-        *, record_history: bool = True, record_trace: bool = False) -> RunResult:
+        *, record_trace: bool = False) -> RunResult:
     """Run a workload deterministically under a schedule.
 
     ``factory`` builds the object under test against a fresh Memory, and
@@ -479,10 +475,10 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
     returns, or pids, one per slot.  Every pid is checked to be a declared
     process: a pid list before any slot runs, a function's pid before its
     slot runs.  Equal (workload, schedule) inputs yield identical histories,
-    reports and traces; with history the result's ``schedule`` replays it.  A
-    slot for a process with nothing to run is skipped and recorded, not fatal.
+    reports and traces; the history is always recorded, and the result's
+    ``schedule`` replays it.  A finished process's slot is a recorded skip, not an error.
     """
-    runner = Runner(factory, workload, record_history, record_trace)
+    runner = Runner(factory, workload, record_trace=record_trace)
     if callable(schedule):
         slots = _declared(schedule(runner), runner.n)
     else:

@@ -345,7 +345,7 @@ def test_criterion_09_prefix_invariant():
                 rng = random.Random(seed * 4 + n * 1_000_003 + k)
                 workload = random_counter_workload(rng, n, 3 * n)
                 result = run(factory, workload, seeded(rng.randrange(2**62)),
-                             record_history=False, record_trace=True)
+                             record_trace=True)
                 counter = result.instance
                 # bits are claimed in index order: after every step the set
                 # bits form the contiguous prefix 0..h, on the ladder and

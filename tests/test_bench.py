@@ -28,12 +28,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(object="counter", read_fraction=1.5)
     with pytest.raises(ValueError):
-        BenchConfig(object="maxreg-approx", m=None)
-    with pytest.raises(ValueError):
         BenchConfig(object="stack")
     for obj in ("maxreg-approx", "maxreg-exact"):
-        with pytest.raises(ValueError, match="m must be"):
-            BenchConfig(object=obj, m=1)
+        for m in (1, None):
+            with pytest.raises(ValueError, match="m must be"):
+                BenchConfig(object=obj, m=m)
     for obj in ("counter", "maxreg-approx"):
         with pytest.raises(ValueError, match="k must be"):
             BenchConfig(object=obj, k=1, m=10)
@@ -276,8 +275,9 @@ def test_native_counter_sanity_envelope():
     assert doc["total_ops"] == 20000
 
 
-def test_native_maxreg_single_thread_matches_sequential():
-    config = BenchConfig(object="maxreg-approx", n=1, k=2, m=1024,
+@pytest.mark.parametrize("obj", ["maxreg-approx", "maxreg-exact"])
+def test_native_maxreg_single_thread_matches_sequential(obj):
+    config = BenchConfig(object=obj, n=1, k=2, m=1024,
                          total_ops=500, read_fraction=0.4, seed=5, mode="native")
     assert run_native(config).responses == run_sequential(config)
 

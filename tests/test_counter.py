@@ -182,7 +182,7 @@ def test_prefix_invariant_random_runs():
             rng = random.Random(seed)
             workload = random_counter_workload(rng, n, 14)
             result = run(factory, workload, seeded(rng.randrange(2**62)),
-                         record_history=False, record_trace=True)
+                         record_trace=True)
             counter = result.instance
             claimed = [t[2] for t in result.trace if t[3] == "tas" and t[5] == 0]
             for index_of in (counter.switch_oid_to_index(),
@@ -203,7 +203,7 @@ def test_quota_before_deep_attempts():
         index_of = result.instance.switch_oid_to_index()
         attempts = [(t[0], t[1], index_of[t[2]]) for t in result.trace
                     if t[3] == "tas"]
-        events = result.history.events
+        events = list(result.history)
         incs = {p: 0 for p in range(3)}
         ei = 0
         for step, proc, index in attempts:

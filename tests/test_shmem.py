@@ -156,8 +156,9 @@ def test_run_schedule_replays_the_run(name):
 
 def test_run_without_history_keeps_no_per_slot_list():
     # bench records no history, so its runs of 10^6 ops keep no schedule
-    result = run(lambda mem: SpinInstance(mem), spin_workload(2, 1), seeded(1),
-                 record_history=False)
+    runner = Runner(lambda mem: SpinInstance(mem), spin_workload(2, 1), record_history=False)
+    runner.advance(seeded(1)(runner))
+    result = runner.result()
     assert result.runner.schedule is None and result.schedule is None
     assert result.report.total_steps == 3
 
@@ -376,14 +377,14 @@ def test_history_json_roundtrip():
     assert all(doc["type"] in ("invoke", "respond") for doc in parsed)
     back = History.from_json(text)
     assert back.signature() == result.history.signature()
-    assert back.events == result.history.events  # steps included
-    assert back.signature() == tuple((e.kind, e.proc, e.op, e.payload) for e in back.events)
+    assert list(back) == list(result.history)  # steps included
+    assert back.signature() == tuple((e.kind, e.proc, e.op, e.payload) for e in back)
     with pytest.raises(AttributeError):
-        back.events[0].step = 1
+        list(back)[0].step = 1
     # a tuple return value comes back from JSON's list as a tuple
     pair = History([shmem.Event("invoke", 0, "read", (), 0),
                     shmem.Event("respond", 0, "read", (3, 1), 1)])
-    assert History.from_json(pair.to_json()).events == pair.events
+    assert list(History.from_json(pair.to_json())) == list(pair)
 
 
 def _operation_tuples(history):
@@ -415,9 +416,8 @@ def test_runner_records_plain_tuples_and_history_hands_out_events():
     for result in leaves:
         history = result.history
         assert all(type(e) is tuple for e in result.runner.events)
-        assert all(type(e) is shmem.Event for e in history.events)
-        assert all(type(e) is shmem.Event for e in list(history))
-        copy = History(history.events)
+        assert all(type(e) is shmem.Event for e in history)
+        copy = History(list(history))
         assert copy.signature() == history.signature()
         assert copy.to_json() == history.to_json()
         assert _operation_tuples(copy) == _operation_tuples(history)

@@ -240,17 +240,6 @@ def measure_worst_case(config: BenchConfig) -> ComplexityReport:
 # ---------------------------------------------------------------------------
 
 
-def run_sequential(config: BenchConfig) -> list[list[Any]]:
-    """Responses of the seeded workload executed one process at a time.
-
-    Reference output for single-thread native runs.
-    """
-    memory = shmem.Memory()
-    instance = factory(config.object, config.n, config.k, config.m)(memory)
-    return [[drive(instance.program(pid, name, args), memory) for name, args in ops]
-            for pid, ops in enumerate(_workload(config))]
-
-
 @dataclass
 class NativeReport:
     config: BenchConfig

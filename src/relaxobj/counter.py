@@ -191,16 +191,7 @@ class ApproxCounter:
             return k * (1 + st.units)
         return return_value(st.last_confirmed % k, st.last_confirmed // k, k)
 
-    # inspection helpers (simulator-level, never charge steps)
-
-    def set_indexes(self) -> list[int]:
-        return sorted(i for i, cell in self.switches.items() if cell.value)
-
-    def switch_oid_to_index(self) -> dict[int, int]:
-        return {cell.oid: i for i, cell in self.switches.items()}
-
-    def unit_oid_to_index(self) -> dict[int, int]:
-        return {cell.oid: j for j, cell in enumerate(self.units)}
+    # never charges steps; kept here because perfbench/workloads.py::counter_facts reads it
 
     def announce_oid_to_proc(self) -> dict[int, int]:
         return {cell.oid: p for p, cell in enumerate(self.announce)}

@@ -219,11 +219,11 @@ class History:
     """A totally ordered sequence of invoke/respond events.
 
     Keeps the list it is given as its one record: 5-tuples in
-    :class:`Event`'s field order, plain ones as the :class:`Runner` and
-    :meth:`from_json` build them, or ``Event`` values, which are 5-tuples
-    too.  :meth:`signature`, :meth:`operations` and :meth:`to_json` read
-    the stored tuples; the events are read by iterating the history, which
-    hands each out as an ``Event``, built when it is read.
+    :class:`Event`'s field order, plain ones as the :class:`Runner` builds
+    them, or ``Event`` values, which are 5-tuples too.  :meth:`signature`,
+    :meth:`operations` and :meth:`to_json` read the stored tuples; the
+    events are read by iterating the history, which hands each out as an
+    ``Event``, built when it is read.
     """
 
     def __init__(self, events: list[tuple]) -> None:
@@ -262,19 +262,6 @@ class History:
 
     def to_json(self) -> str:
         return json.dumps([Event.to_json(e) for e in self._events])
-
-    @classmethod
-    def from_json(cls, text: str) -> "History":
-        events = []
-        for doc in json.loads(text):
-            if doc["type"] == "invoke":
-                payload: Any = tuple(doc.get("args", ()))
-            else:
-                payload = doc.get("ret")
-                if isinstance(payload, list):
-                    payload = tuple(payload)
-            events.append((doc["type"], doc["proc"], doc["op"], payload, doc.get("step", 0)))
-        return cls(events)
 
 
 @dataclass

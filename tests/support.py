@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 
-from relaxobj.shmem import Memory, drive
+from relaxobj import bench
+from relaxobj.shmem import History, Memory, Runner, drive, seeded
 
 
 class SpinInstance:
@@ -31,6 +33,52 @@ def solo(instance, memory: Memory, ops, pid: int = 0):
     """Run ops sequentially for one process; returns the responses."""
     return [drive(instance.program(pid, name, args), memory)
             for name, args in ops]
+
+
+def sequential(config: bench.BenchConfig):
+    """Responses of the bench workload run one process at a time, via ``solo``.
+
+    Native mode's reference: a single-thread native run must return these.
+    """
+    memory = Memory()
+    instance = bench.factory(config.object, config.n, config.k, config.m)(memory)
+    return [solo(instance, memory, ops, pid)
+            for pid, ops in enumerate(bench._workload(config))]
+
+
+def traced(factory, workload, seed: int) -> Runner:
+    """The finished runner of ``run(factory, workload, seeded(seed), record_trace=True)``.
+
+    It records no history; the picks are the same, as ``seeded`` reads only
+    ``runner.active``.
+    """
+    runner = Runner(factory, workload, record_history=False, record_trace=True)
+    runner.advance(seeded(seed)(runner))
+    return runner
+
+
+def set_indexes(counter) -> list[int]:
+    """Indexes of the counter's set ladder bits, in order."""
+    return sorted(i for i, cell in counter.switches.items() if cell.value)
+
+
+def oid_to_index(pairs) -> dict[int, int]:
+    """Cell oid to index, over ``counter.switches.items()`` or ``enumerate(counter.units)``."""
+    return {cell.oid: i for i, cell in pairs}
+
+
+def history_from_json(text: str) -> History:
+    """Parse ``History.to_json`` output; a list return value comes back as a tuple."""
+    events = []
+    for doc in json.loads(text):
+        if doc["type"] == "invoke":
+            payload = tuple(doc.get("args", ()))
+        else:
+            payload = doc.get("ret")
+            if isinstance(payload, list):
+                payload = tuple(payload)
+        events.append((doc["type"], doc["proc"], doc["op"], payload, doc.get("step", 0)))
+    return History(events)
 
 
 def random_counter_workload(rng: random.Random, n: int, max_ops: int,

@@ -21,12 +21,13 @@ from fractions import Fraction
 from relaxobj import (check, check_bruteforce, counter_spec, maxreg_approx_spec,
                       maxreg_exact_spec, return_value, run, seeded)
 from relaxobj.bench import (BenchConfig, drive, measure_amortized,
-                            measure_worst_case, run_native, run_sequential)
+                            measure_worst_case, run_native)
 from relaxobj.counter import ApproxCounter
 from relaxobj.maxreg_approx import ApproxMaxRegister, floor_log
 from relaxobj.maxreg_exact import BoundedMaxRegister
 from relaxobj.shmem import Memory, Runner, distinct_histories
-from support import random_counter_workload, random_maxreg_workload, solo
+from support import (oid_to_index, random_counter_workload, random_maxreg_workload,
+                     sequential, set_indexes, solo, traced)
 
 _shared: dict = {}  # lazily computed inputs reused across criteria
 
@@ -200,7 +201,7 @@ def test_criterion_06_counter_hand_fixtures():
         counter = ApproxCounter(memory, 1, 4)
         solo(counter, memory, [("inc", ())])
         assert memory.steps == 1  # exactly one test&set
-        assert counter.set_indexes() == [0]
+        assert set_indexes(counter) == [0]
         before = memory.steps
         assert solo(counter, memory, [("read", ())]) == [4]
         assert memory.steps - before == 2  # reads bit 0 then bit 1
@@ -210,7 +211,7 @@ def test_criterion_06_counter_hand_fixtures():
         counter = ApproxCounter(memory, 1, 4)
         solo(counter, memory, [("inc", ())] * 5)
         state = counter.states[0]
-        assert counter.set_indexes() == [0, 1]
+        assert set_indexes(counter) == [0, 1]
         assert (state.sn, state.lcounter, state.limit, state.l0) == (1, 0, 4, 2)
         assert counter.announce[0].value == (1, 1)
         assert solo(counter, memory, [("read", ())]) == [20]
@@ -220,7 +221,7 @@ def test_criterion_06_counter_hand_fixtures():
         workload = [[("inc", ())] * 5, [("inc", ())] * 4]
         result = run(factory, workload, [0, 1, 0, 0, 1, 1, 1])
         counter = result.instance
-        assert counter.set_indexes() == [0, 1, 2]
+        assert set_indexes(counter) == [0, 1, 2]
         assert counter.announce[0].value == (1, 1)
         assert counter.announce[1].value == (2, 1)
         assert counter.states[1].l0 == 3
@@ -282,7 +283,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
         memory, counter = runner.memory, runner.instance
 
         # the incrementer keeps the ladder ahead of the reader
-        while len(counter.set_indexes()) < 30:
+        while len(set_indexes(counter)) < 30:
             runner.step(1)
         # reader: 16 scan iterations, then its announce-array snapshot
         for _ in range(32):
@@ -292,7 +293,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
         # the incrementer claims bits 30 and 31 inside the reader's window,
         # keeping the ladder set everywhere the reader will look while its
         # published sequence number advances by two past the snapshot
-        while len(counter.set_indexes()) < 32:
+        while len(set_indexes(counter)) < 32:
             runner.step(1)
         assert counter.announce[1].value[1] == baseline + 2
         # reader scans on; the next boundary rescan must rescue it
@@ -316,7 +317,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
         final = reader_steps[-1]
         assert final[3] == "read" and announce_of.get(final[2]) == 1
         # the reader never observed an unset ladder bit: genuinely starved
-        ladder = counter.switch_oid_to_index()
+        ladder = oid_to_index(counter.switches.items())
         assert all(t[5] == 1 for t in reader_steps if t[2] in ladder)
         # exact path: 16 ladder bits, the snapshot of all 16 announce
         # entries, 16 more bits, then the rescan stops at entry 1
@@ -344,15 +345,14 @@ def test_criterion_09_prefix_invariant():
             for seed in range(runs_per_config):
                 rng = random.Random(seed * 4 + n * 1_000_003 + k)
                 workload = random_counter_workload(rng, n, 3 * n)
-                result = run(factory, workload, seeded(rng.randrange(2**62)),
-                             record_trace=True)
-                counter = result.instance
+                runner = traced(factory, workload, rng.randrange(2**62))
+                counter = runner.instance
                 # bits are claimed in index order: after every step the set
                 # bits form the contiguous prefix 0..h, on the ladder and
                 # among the unit bits alike
-                claimed = [t[2] for t in result.trace if t[3] == "tas" and t[5] == 0]
-                for index_of in (counter.switch_oid_to_index(),
-                                 counter.unit_oid_to_index()):
+                claimed = [t[2] for t in runner.trace if t[3] == "tas" and t[5] == 0]
+                for index_of in (oid_to_index(counter.switches.items()),
+                                 oid_to_index(enumerate(counter.units))):
                     wins = [index_of[oid] for oid in claimed if oid in index_of]
                     assert wins == list(range(len(wins))), (n, k, seed)
 
@@ -391,4 +391,4 @@ def test_criterion_11_native_mode_sanity():
 
         single = BenchConfig(object="counter", n=1, k=4, total_ops=20_000,
                              read_fraction=0.2, seed=9, mode="native")
-        assert run_native(single).responses == run_sequential(single)
+        assert run_native(single).responses == sequential(single)

@@ -12,9 +12,9 @@ import pytest
 
 from relaxobj import bench
 from relaxobj.bench import (MAX_PROCESSES, BenchConfig, NativeMemory,
-                            measure_amortized, measure_worst_case, run_native,
-                            run_sequential)
+                            measure_amortized, measure_worst_case, run_native)
 from relaxobj.maxreg_approx import floor_log
+from support import sequential
 
 
 def test_config_validation():
@@ -248,7 +248,7 @@ def test_native_single_thread_matches_sequential():
     config = BenchConfig(object="counter", n=1, k=3, total_ops=2000,
                          read_fraction=0.25, seed=11, mode="native")
     native = run_native(config)
-    assert native.responses == run_sequential(config)
+    assert native.responses == sequential(config)
     assert native.total_ops == 2000
     assert native.per_thread_ops == [2000]
 
@@ -258,7 +258,7 @@ def test_sequential_reference_runs_every_dealt_operation():
     # get the operations dealt to them
     config = BenchConfig(object="maxreg-exact", n=3, m=100, total_ops=10,
                          read_fraction=0.5, seed=2)
-    assert [len(r) for r in run_sequential(config)] == [4, 3, 3]
+    assert [len(r) for r in sequential(config)] == [4, 3, 3]
 
 
 def test_native_counter_sanity_envelope():
@@ -279,7 +279,7 @@ def test_native_counter_sanity_envelope():
 def test_native_maxreg_single_thread_matches_sequential(obj):
     config = BenchConfig(object=obj, n=1, k=2, m=1024,
                          total_ops=500, read_fraction=0.4, seed=5, mode="native")
-    assert run_native(config).responses == run_sequential(config)
+    assert run_native(config).responses == sequential(config)
 
 
 def _dealt_reference(config):

@@ -11,7 +11,7 @@ from relaxobj import bench, check, counter_spec, return_value, run, seeded
 from relaxobj.bench import BenchConfig
 from relaxobj.counter import ApproxCounter
 from relaxobj.shmem import Memory, drive
-from support import random_counter_workload, solo
+from support import oid_to_index, random_counter_workload, set_indexes, solo, traced
 
 INC = ("inc", ())
 READ = ("read", ())
@@ -45,7 +45,7 @@ def test_seeded_deep_ladder_reads_are_pinned():
     result = run(bench.factory("counter", 16, 4, None), bench._workload(config), seeded(2))
     reads = [e.payload for e in result.history if e.kind == "respond" and e.op == "read"]
     assert (len(reads), sum(reads), max(reads)) == (9974, 360131960, 87364)
-    assert max(result.instance.set_indexes()) == 24
+    assert max(set_indexes(result.instance)) == 24
 
 
 def test_return_value_rejects_bad_args():
@@ -60,7 +60,7 @@ def test_first_increment_sets_bit_zero():
     counter = ApproxCounter(mem, 1, 4)
     solo(counter, mem, [INC])
     st = counter.states[0]
-    assert counter.set_indexes() == [0]
+    assert set_indexes(counter) == [0]
     assert (st.lcounter, st.limit, st.limit_exp) == (0, 4, 1)
     assert mem.steps == 1  # a single test&set
 
@@ -70,7 +70,7 @@ def test_fifth_increment_claims_bit_one():
     counter = ApproxCounter(mem, 1, 4)
     solo(counter, mem, [INC] * 5)
     st = counter.states[0]
-    assert counter.set_indexes() == [0, 1]
+    assert set_indexes(counter) == [0, 1]
     assert st.sn == 1
     assert counter.announce[0].value == (1, 1)
     assert st.lcounter == 0
@@ -84,7 +84,7 @@ def test_interval_end_claim_grows_the_threshold():
     counter = ApproxCounter(mem, 1, 2)
     solo(counter, mem, [INC] * 5)
     st = counter.states[0]
-    assert counter.set_indexes() == [0, 1, 2]
+    assert set_indexes(counter) == [0, 1, 2]
     assert counter.announce[0].value == (2, 2)
     assert (st.lcounter, st.limit, st.limit_exp, st.sn, st.l0) == (0, 4, 2, 2, 1)
     assert mem.steps == 5
@@ -124,7 +124,7 @@ def test_two_process_switch_contention():
     workload = [[INC] * 5, [INC] * 4]
     result = run(factory, workload, [0, 1, 0, 0, 1, 1, 1])
     counter = result.instance
-    assert counter.set_indexes() == [0, 1, 2]
+    assert set_indexes(counter) == [0, 1, 2]
     assert counter.announce[0].value == (1, 1)
     assert counter.announce[1].value == (2, 1)
     assert counter.states[1].l0 == 3
@@ -153,7 +153,7 @@ def test_read_resumes_scan_from_last():
     assert counter.states[0].last == 4
     steps_before = mem.steps
     solo(counter, mem, [INC] * 4)  # threshold hit again: claims bit 2
-    assert counter.set_indexes() == [0, 1, 2]
+    assert set_indexes(counter) == [0, 1, 2]
     got = solo(counter, mem, [READ])
     # resumed at bit 4 (still 0): loop never entered, and bits interior to
     # the interval are intentionally invisible; confirmed bit stays 1
@@ -181,12 +181,11 @@ def test_prefix_invariant_random_runs():
         for seed in range(300):
             rng = random.Random(seed)
             workload = random_counter_workload(rng, n, 14)
-            result = run(factory, workload, seeded(rng.randrange(2**62)),
-                         record_trace=True)
-            counter = result.instance
-            claimed = [t[2] for t in result.trace if t[3] == "tas" and t[5] == 0]
-            for index_of in (counter.switch_oid_to_index(),
-                             counter.unit_oid_to_index()):
+            runner = traced(factory, workload, rng.randrange(2**62))
+            counter = runner.instance
+            claimed = [t[2] for t in runner.trace if t[3] == "tas" and t[5] == 0]
+            for index_of in (oid_to_index(counter.switches.items()),
+                             oid_to_index(enumerate(counter.units))):
                 wins = [index_of[oid] for oid in claimed if oid in index_of]
                 assert wins == list(range(len(wins)))
 
@@ -200,7 +199,7 @@ def test_quota_before_deep_attempts():
         workload = random_counter_workload(rng, 3, 24, read_fraction=0.1)
         result = run(factory, workload, seeded(rng.randrange(2**62)),
                      record_trace=True)
-        index_of = result.instance.switch_oid_to_index()
+        index_of = oid_to_index(result.instance.switches.items())
         attempts = [(t[0], t[1], index_of[t[2]]) for t in result.trace
                     if t[3] == "tas"]
         events = list(result.history)
@@ -233,7 +232,7 @@ def test_low_count_window_escape_below_k_eq_n_minus_1():
     workload = [[INC, INC], [INC], [INC], [INC, READ]]
     result = run(factory, workload, [0, 1, 2, 2, 3, 3, 3, 3, 3, 3])
     assert not result.runner.active
-    assert result.instance.set_indexes() == [0]
+    assert set_indexes(result.instance) == [0]
     incs = sum(1 for e in result.history if e.kind == "respond" and e.op == "inc")
     reads = [e.payload for e in result.history
              if e.kind == "respond" and e.op == "read"]
@@ -262,7 +261,7 @@ def test_construction_allocates_no_ladder_cell():
         assert len(mem.cells) == n + bits
         solo(counter, mem, [INC])
         assert len(mem.cells) == n + bits + 1
-        assert counter.switch_oid_to_index() == {n + bits: 0}
+        assert oid_to_index(counter.switches.items()) == {n + bits: 0}
 
 
 def test_read_rechecks_bit_one_when_units_grow():

@@ -13,6 +13,7 @@ from relaxobj import (ApproxCounter, check, check_bruteforce, counter_spec,
                       maxreg_approx_spec, maxreg_exact_spec, run, seeded)
 from relaxobj import bench
 from relaxobj.shmem import Event, History
+from support import history_from_json
 
 
 def H(*events):
@@ -288,7 +289,7 @@ def test_checker_agrees_with_bruteforce_on_random_histories(seed):
 def test_check_accepts_json_history():
     h = H(("i", 0, "inc", ()), ("r", 0, "inc", None),
           ("i", 0, "read", ()), ("r", 0, "read", 2))
-    parsed = History.from_json(h.to_json())
+    parsed = history_from_json(h.to_json())
     result = check(parsed, counter_spec(2))
     assert result.valid
 

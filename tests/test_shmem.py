@@ -17,7 +17,7 @@ from relaxobj.counter import ApproxCounter
 from relaxobj.shmem import (History, IllegalAccess, LazyCells, Memory, NativeMemory,
                             Runner, distinct_histories, enumerate_interleavings, run,
                             seeded, trace_lines)
-from support import SpinInstance, random_counter_workload, spin_workload
+from support import SpinInstance, history_from_json, random_counter_workload, spin_workload
 
 
 def test_alloc_initial_values():
@@ -375,7 +375,7 @@ def test_history_json_roundtrip():
     text = result.history.to_json()
     parsed = json.loads(text)
     assert all(doc["type"] in ("invoke", "respond") for doc in parsed)
-    back = History.from_json(text)
+    back = history_from_json(text)
     assert back.signature() == result.history.signature()
     assert list(back) == list(result.history)  # steps included
     assert back.signature() == tuple((e.kind, e.proc, e.op, e.payload) for e in back)
@@ -384,7 +384,7 @@ def test_history_json_roundtrip():
     # a tuple return value comes back from JSON's list as a tuple
     pair = History([shmem.Event("invoke", 0, "read", (), 0),
                     shmem.Event("respond", 0, "read", (3, 1), 1)])
-    assert list(History.from_json(pair.to_json())) == list(pair)
+    assert list(history_from_json(pair.to_json())) == list(pair)
 
 
 def _operation_tuples(history):
@@ -430,7 +430,7 @@ def test_runner_records_plain_tuples_and_history_hands_out_events():
     [{"type": "invoke", "proc": 0, "op": "inc"}, {"type": "cancel", "proc": 0, "op": "inc"}],
 ], ids=["double invoke", "unmatched response", "unknown kind"])
 def test_malformed_history_operations_rejected(events):
-    history = History.from_json(json.dumps(events))
+    history = history_from_json(json.dumps(events))
     with pytest.raises(ValueError):
         history.operations()
 

@@ -407,12 +407,13 @@ class Runner:
                           histogram)
 
     def result(self) -> RunResult:
-        """The run so far, with the schedule that replays it if history is recorded."""
+        """A snapshot of the run so far; its schedule replays it if history is recorded."""
         # built from a list, CPython takes the tuple from its free list;
         # tuple(<generator>) would resize one and grow that list instead
         schedule = None if self.schedule is None else tuple(self.schedule)
-        history = History(self.events if self.events is not None else [])
-        return RunResult(history, self.report(), self.trace, self.instance, self, schedule)
+        history = History([] if self.events is None else self.events[:])
+        trace = None if self.trace is None else self.trace[:]
+        return RunResult(history, self.report(), trace, self.instance, self, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +523,19 @@ def _every_interleaving(factory, workload) -> Iterator[RunResult]:
 
 
 class _Node:
-    """A state on the reduced explorer's current path, and the slot taken from it."""
+    """A state on the reduced explorer's current path, and the slot explored from it.
 
-    __slots__ = ("pid", "backtrack", "sleep")
+    The slot's record and happens-before mask are built once, when the slot
+    is first explored; every execution that replays the slot reads them.
+    """
 
-    def __init__(self, pid: int, sleep: dict[int, bool]) -> None:
-        self.pid = pid  # the process whose slot is being explored from here
+    __slots__ = ("slot", "before", "backtrack", "sleep")
+
+    def __init__(self, pid: int, sleep: dict[int, tuple]) -> None:
+        self.slot: tuple = ()  # (pid, oid, effect, emitted), built when the slot first runs
+        self.before = 0  # bitmask of the path's slots that happen before this one
         self.backtrack = {pid}  # processes to explore from here
-        # processes whose slot from here needs no exploration, each with the
-        # emitted flag its slot had when it was explored
-        self.sleep = sleep
+        self.sleep = sleep  # processes needing no exploration from here -> their slot records
 
 
 def _effect(request: tuple) -> str:
@@ -548,28 +552,31 @@ def _effect(request: tuple) -> str:
 
 
 def _dependent(a: tuple, b: tuple) -> bool:
-    """Whether two slots ``(pid, cell, effect, emitted)`` of one execution fail to commute."""
+    """Whether two slots ``(pid, oid, effect, emitted)`` fail to commute."""
     return (a[0] == b[0] or (a[3] and b[3])
-            or (a[1] is b[1] and (a[2] != "read" or b[2] != "read")))
+            or (a[1] == b[1] and (a[2] != "read" or b[2] != "read")))
 
 
 def _source_dpor(factory, workload) -> Iterator[RunResult]:
     """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
 
-    Each execution replays the current path from fresh memory, extends it
-    by the lowest-numbered process that is not asleep until no process is
-    armed (a leaf) or every armed one is asleep (a blocked execution, not
-    yielded), then adds the reversals of its races to the backtrack sets.
-    Cells are compared as objects of the current replay only.
+    Each execution replays the current path from fresh memory through
+    :meth:`Runner.advance`, extends it by the lowest-numbered process that
+    is not asleep until no process is armed (a leaf) or every armed one is
+    asleep (a blocked execution, not yielded), then adds the reversals of
+    its races to the backtrack sets.  Slot records compare cells by oid: a
+    record's cell was allocated before its node's state, and every
+    execution that reaches that node allocates the same cells in the same
+    order, so the records stay valid across executions.
 
     Two slots of different processes are dependent when they touch the
     same cell and one of them changes the cell's value, or when both emit
     history events (a response, or the invocations that follow it).  The
     relation is value-aware, the refined dependency of Godefroid &
     Pirottin (CAV 1993): :func:`_effect` classifies each slot on the state
-    before it runs, once for every executed slot that goes into race
-    detection and once for every sleeping process's pending request.  It
-    is sound because:
+    before it runs, once, when the slot is first explored, and a sleeping
+    process keeps the record its slot had then (point 4).  It is sound
+    because:
 
     1. A non-modifying access returns what a read would return, and leaves
        the state as a read would, so it commutes with every other
@@ -590,74 +597,65 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
        the slots run since then are independent of that one.
     """
     path: list[_Node] = []
-    before: list[int] = []  # before[j]: bitmask of the slots that happen before slot j
+    node = pid = None  # set by a backtrack: the node to explore next, with process pid
     while True:
         runner = Runner(factory, workload)
-        slots: list[tuple] = []  # (pid, cell, effect, emitted) of each slot run
-
-        def run_slot(p: int) -> None:
-            request = runner._armed[p][2]
+        runner.advance([n.slot[0] for n in path])
+        start, sleep = len(path), {}
+        while True:
+            if node is None:
+                awake = [p for p in sorted(runner.active) if p not in sleep]
+                if not awake:
+                    break
+                pid = awake[0]
+                node = _Node(pid, sleep)
+            request = runner._armed[pid][2]
             effect = _effect(request)  # before the step can change the cell
             # only a slot that completes an operation emits history events
-            slots.append((p, request[1], effect, runner.step(p)))
-
-        for node in path:
-            run_slot(node.pid)
-        while True:
-            sleep = {}
-            if path:
-                last = slots[-1]
-                for q, emitted in path[-1].sleep.items():
-                    request = runner._armed[q][2]  # q has not moved since it fell asleep
-                    if not _dependent(last, (q, request[1], _effect(request), emitted)):
-                        sleep[q] = emitted
-            awake = [p for p in sorted(runner.active) if p not in sleep]
-            if not awake:
-                break
-            path.append(_Node(awake[0], sleep))
-            run_slot(awake[0])
-        _add_reversals(path, slots, before)
+            slot = node.slot = (pid, request[1].oid, effect, runner.step(pid))
+            path.append(node)
+            sleep = {q: s for q, s in node.sleep.items() if not _dependent(slot, s)}
+            node = None
+        _add_reversals(path, start)
         if not runner.active:
             yield runner.result()
         while path:
-            node = path[-1]
-            node.sleep[node.pid] = slots[len(path) - 1][3]
+            node = path.pop()
+            node.sleep[node.slot[0]] = node.slot
             pending = node.backtrack.difference(node.sleep)
             if pending:
-                node.pid = min(pending)
-                del before[len(path) - 1:]  # the slots before node repeat next time
+                pid = min(pending)
                 break
-            path.pop()
         else:
             return
 
 
-def _add_reversals(path: list[_Node], slots: list[tuple], before: list[int]) -> None:
-    """Race detection over one execution's slots from slot ``len(before)`` on.
+def _add_reversals(path: list[_Node], start: int) -> None:
+    """Race detection over the path's slots from slot ``start`` on.
 
-    ``before[j]`` is the bitmask of the slots that happen before slot j;
-    it is extended to every slot.  Slot i races with a later slot j of
-    another process when i happens before j with no slot in between.  To
-    reverse the race, the node before slot i needs a backtrack process
-    that can start the sequence v: the slots between i and j that do not
-    happen after i, then j.  Races whose both slots an earlier execution
-    ran were handled then.
+    Reads each node's slot record and sets the ``before`` mask of each node
+    from ``start`` on.  Slot i races with a later slot j of another process
+    when i happens before j with no slot in between.  To reverse the race,
+    the node before slot i needs a backtrack process that can start the
+    sequence v: the slots between i and j that do not happen after i, then
+    j.  Races whose both slots an earlier execution ran were handled then.
     """
-    for j in range(len(before), len(slots)):
-        slot = slots[j]
+    for j in range(start, len(path)):
+        slot = path[j].slot
         mask = covered = 0  # covered: slots that happen before j through another slot
         for i in range(j - 1, -1, -1):
-            if not mask >> i & 1 and _dependent(slots[i], slot):
-                mask |= before[i] | 1 << i
-                covered |= before[i]
-        before.append(mask)
+            if not mask >> i & 1 and _dependent(path[i].slot, slot):
+                before = path[i].before
+                mask |= before | 1 << i
+                covered |= before
+        path[j].before = mask
         racing = mask & ~covered
         for i in range(j):
-            if not racing >> i & 1 or slots[i][0] == slot[0]:
+            if not racing >> i & 1 or path[i].slot[0] == slot[0]:
                 continue
-            v = [k for k in range(i + 1, j) if not before[k] >> i & 1] + [j]
+            v = [k for k in range(i + 1, j) if not path[k].before >> i & 1] + [j]
             v_mask = sum(1 << k for k in v)
-            initials = {slots[k][0] for k in v if not before[k] & v_mask}
+            initials = {path[k].slot[0] for k in v if not path[k].before & v_mask}
             node = path[i]
             if not initials & node.backtrack:
                 node.backtrack.add(min(initials))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
@@ -163,6 +164,23 @@ def test_run_without_history_keeps_no_per_slot_list():
     assert result.report.total_steps == 3
 
 
+def test_mid_run_result_is_a_snapshot():
+    # a result taken mid-run keeps the run as it stood, which its schedule replays
+    factory = bench.factory("counter", 2, 2, None)
+    workload = [[("inc", ()), ("read", ())] for _ in range(2)]
+    runner = Runner(factory, workload, record_trace=True)
+    runner.advance([0, 1])
+    result = runner.result()
+    trace, events = list(result.trace), list(result.history)
+    runner.advance(seeded(1)(runner))
+    assert not runner.active and len(runner.trace) > len(trace)
+    assert result.trace == trace
+    assert list(result.history) == events
+    again = run(factory, workload, list(result.schedule), record_trace=True)
+    assert again.trace == result.trace
+    assert list(again.history) == list(result.history)
+
+
 def test_replay_determinism():
     factory = lambda mem: SpinInstance(mem)
     workload = spin_workload(3, 2, 4)
@@ -302,6 +320,17 @@ def test_dpor_agrees_with_full_enumeration(name):
     obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
     factory = bench.factory(obj, n, k, m)
     assert _reduced_leaves_if_agreeing(factory, parse_workload(ops, n)) == leaves
+
+
+@pytest.mark.parametrize("name, digest", [("criterion 3a", "c7a8551b3be79463"),
+                                          ("criterion 5a", "0df3dc5d7d8a858f")])
+def test_dpor_leaf_order_is_pinned(name, digest):
+    # a change to the explorer that keeps its leaves must keep their order too
+    obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
+    schedules = [leaf.schedule for leaf in enumerate_interleavings(
+        bench.factory(obj, n, k, m), parse_workload(ops, n), reduction="dpor")]
+    assert len(schedules) == leaves
+    assert hashlib.sha256(repr(schedules).encode()).hexdigest()[:16] == digest
 
 
 def test_effect_classifies_accesses_that_change_nothing_as_reads():

@@ -97,6 +97,10 @@ class ApproxCounter:
     counter behaves exactly as the bare ladder.
     """
 
+    #: ``states[pid]`` holds process pid's variables, which the reduced explorer
+    #: captures and restores (``shmem._Restorable``)
+    process_state = "states"
+
     def __init__(self, memory: shmem.Memory, n: int, k: int) -> None:
         if not isinstance(n, int) or n < 1:
             raise ValueError("process count n must be a positive integer")

@@ -44,6 +44,8 @@ class ApproxMaxRegister:
     the maximum v written before it.
     """
 
+    process_state = None  # no per-process variables to restore (``shmem._Restorable``)
+
     def __init__(self, memory: shmem.Memory, k: int, m: int) -> None:
         if not isinstance(k, int) or k < 2:
             raise ValueError("accuracy factor k must be an integer >= 2")

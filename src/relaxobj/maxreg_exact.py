@@ -31,6 +31,8 @@ class BoundedMaxRegister:
     the maximum value of all writes linearized before it (0 if none).
     """
 
+    process_state = None  # no per-process variables to restore (``shmem._Restorable``)
+
     def __init__(self, memory: shmem.Memory, capacity: int) -> None:
         if not isinstance(capacity, int) or capacity < 1:
             raise ValueError("capacity must be a positive integer")

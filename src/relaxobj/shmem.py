@@ -488,17 +488,24 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     """Yield maximal interleavings of the workload, each exactly once.
 
     Interleavings branch on which process performs the next base-object
-    access.  Every leaf replays its prefix from fresh memory, so the
-    workload is turned into lists once.  Leaves carry the full pid
-    ``schedule`` that replays them.
+    access.  The workload is turned into lists once, since each process's
+    operations are invoked again on every branch.  Leaves carry the full
+    pid ``schedule`` that replays them.
 
-    With ``reduction=None`` every interleaving is yielded.  Their number
+    With ``reduction=None`` every interleaving is yielded, and every leaf
+    replays its prefix in a fresh runner over fresh memory.  Their number
     grows combinatorially with the total step count; keep workloads at
     desk scale.  With ``reduction="dpor"`` one interleaving per trace
     class is yielded, by source-set and sleep-set dynamic partial-order
     reduction (Abdulla et al., POPL 2014), and the leaves reach every
     history and every per-operation step count of the full enumeration;
     :func:`_source_dpor` gives the dependence relation and why it is sound.
+    The reduced explorer drives one runner, which it restores to each
+    backtrack point instead of replaying the path, so the object must
+    declare its per-process state (see :class:`_Restorable`).  A reduced
+    leaf's ``history``, ``report`` and ``schedule`` are snapshots, but its
+    ``runner`` and ``instance`` are the explorer's live ones, which later
+    leaves change.
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
@@ -522,11 +529,111 @@ def _every_interleaving(factory, workload) -> Iterator[RunResult]:
         yield runner.result()
 
 
+class _Restorable(Runner):
+    """The reduced explorer's runner: it is cut back to an earlier slot without a replay.
+
+    Each slot runs an armed access (a skip is not supported) and logs its
+    pid, its request and the value that the request's cell held before it
+    ran, which is also what a read or a ``tas`` returns.  The object under
+    test declares its per-process state in its ``process_state`` class
+    attribute: the name of an attribute that holds a list, indexed by pid,
+    of objects whose attributes are that process's variables, or ``None``
+    when it keeps no per-process state.  Whenever a process is about to
+    invoke operations, which happens once at start-up and once per
+    operation that a slot completes, the runner copies those attributes.
+    """
+
+    def __init__(self, factory: Callable[[Memory], Any], workload: list[list[tuple]],
+                 record_trace: bool = False) -> None:
+        self._workload = workload
+        self._log: list[tuple] = []  # per slot: (pid, request, the cell's value before it)
+        # per process, one capture per armed operation, oldest first: (the event
+        # index of its invocation, and before the invocations that armed it,
+        # the process's operations invoked, the slots run and its variables)
+        self._captures: list[list[tuple]] = [[] for _ in workload]
+        super().__init__(factory, workload, record_trace=record_trace)
+
+    def _invoke_until_armed(self, p: int) -> None:
+        invoked = len(self.per_op[p])
+        name = self.instance.process_state  # an undeclared object fails here
+        state = None if name is None else vars(getattr(self.instance, name)[p]).copy()
+        Runner._invoke_until_armed(self, p)
+        if self._armed[p] is not None:
+            self._captures[p].append((len(self.events) - 1, invoked, len(self._log), state))
+
+    def step(self, p: int) -> bool:
+        request = self._armed[p][2]
+        self._log.append((p, request, request[1].value))
+        return Runner.step(self, p)
+
+    def restore(self, slots: int) -> None:
+        """Cut the run back to its state after its first ``slots`` slots.
+
+        Undoes each later slot's cell change, newest first, and cuts the
+        events, schedule, trace and per-op records back to that state.  Each
+        process that ran a slot since then gets its in-flight operation
+        rebuilt from the capture taken before its invocation: its variables
+        are set back in place, ``program`` is called again for the
+        operations invoked since, and the armed one is sent the responses
+        that the log records, with no memory access.  Cells allocated since
+        stay allocated, back at their initial 0, so every cell keeps its oid.
+        """
+        log = self._log
+        rebuilt = set()
+        for p, request, old in reversed(log[slots:]):
+            request[1].value = old
+            rebuilt.add(p)
+        del log[slots:]
+        self.memory.steps = slots  # one access per slot
+        del self.schedule[slots:]
+        if self.trace is not None:
+            del self.trace[slots:]
+        events, per_op, completed = self.events, self.per_op, self.completed
+        while events and events[-1][4] > slots:  # emitted by a slot after the state
+            event = events.pop()
+            if event[0] == "respond":
+                done = per_op[event[1]].pop()
+                completed[done] -= 1
+                if not completed[done]:
+                    del completed[done]
+                self.ops_completed -= 1
+        for p in rebuilt:
+            self._rebuild(p)
+        captures = self._captures
+        # in arming order, which is the order of the armed operations' invocations
+        self.active[:] = sorted(rebuilt.union(self.active), key=lambda q: captures[q][-1][0])
+
+    def _rebuild(self, p: int) -> None:
+        captures, recorded = self._captures[p], len(self.events)
+        while captures[-1][0] >= recorded:  # an operation invoked after the state
+            captures.pop()
+        _, invoked, first_slot, state = captures[-1]
+        instance = self.instance
+        if state is not None:
+            vars(getattr(instance, instance.process_state)[p]).update(state)
+        ops = iter(self._workload[p][invoked:])
+        for name, args in ops:  # the access-free operations complete again, silently
+            gen = instance.program(p, name, args)
+            if gen is not None:
+                try:
+                    request = next(gen)
+                except StopIteration:
+                    continue
+                break
+        self._ops[p] = ops
+        steps = 0
+        for q, sent, old in self._log[first_slot:]:
+            if q == p:
+                request = gen.send(None if sent[0] == "write" else old)
+                steps += 1
+        self._armed[p] = (gen, name, request, steps)
+
+
 class _Node:
     """A state on the reduced explorer's current path, and the slot explored from it.
 
     The slot's record and happens-before mask are built once, when the slot
-    is first explored; every execution that replays the slot reads them.
+    is first explored; every later execution through this node reads them.
     """
 
     __slots__ = ("slot", "before", "backtrack", "sleep")
@@ -557,17 +664,59 @@ def _dependent(a: tuple, b: tuple) -> bool:
             or (a[1] == b[1] and (a[2] != "read" or b[2] != "read")))
 
 
+class _Index:
+    """Bitmasks over the path's slots, by the fields that :func:`_dependent` compares.
+
+    A slot is dependent on exactly the earlier slots of its own process,
+    the earlier emitting ones if it emits, and the earlier ones on its cell:
+    all of them if it modifies the cell, the modifying ones if not.
+    """
+
+    __slots__ = ("by_pid", "by_oid", "modifying", "emitted")
+
+    def __init__(self) -> None:
+        self.by_pid: dict[int, int] = {}
+        self.by_oid: dict[int, int] = {}
+        self.modifying: dict[int, int] = {}  # by oid
+        self.emitted = 0
+
+    def dependents(self, slot: tuple) -> int:
+        """The indexed slots that are dependent on ``slot``."""
+        pid, oid, effect, emitted = slot
+        same_cell = self.by_oid if effect != "read" else self.modifying
+        return (self.by_pid.get(pid, 0) | same_cell.get(oid, 0)
+                | (self.emitted if emitted else 0))
+
+    def add(self, j: int, slot: tuple) -> None:
+        pid, oid, effect, emitted = slot
+        bit = 1 << j
+        self.by_pid[pid] = self.by_pid.get(pid, 0) | bit
+        self.by_oid[oid] = self.by_oid.get(oid, 0) | bit
+        if effect != "read":
+            self.modifying[oid] = self.modifying.get(oid, 0) | bit
+        if emitted:
+            self.emitted |= bit
+
+    def cut(self, length: int) -> None:
+        """Forget the slots from ``length`` on."""
+        keep = (1 << length) - 1
+        for masks in (self.by_pid, self.by_oid, self.modifying):
+            for key in masks:
+                masks[key] &= keep
+        self.emitted &= keep
+
+
 def _source_dpor(factory, workload) -> Iterator[RunResult]:
     """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
 
-    Each execution replays the current path from fresh memory through
-    :meth:`Runner.advance`, extends it by the lowest-numbered process that
-    is not asleep until no process is armed (a leaf) or every armed one is
-    asleep (a blocked execution, not yielded), then adds the reversals of
-    its races to the backtrack sets.  Slot records compare cells by oid: a
-    record's cell was allocated before its node's state, and every
-    execution that reaches that node allocates the same cells in the same
-    order, so the records stay valid across executions.
+    One runner, a :class:`_Restorable`, carries every execution.  An
+    execution starts at the node that the last backtrack popped to, to
+    which the runner was restored without a replay.  It extends the path by
+    the lowest-numbered process that is not asleep until no process is
+    armed (a leaf) or every armed one is asleep (a blocked execution, not
+    yielded), then adds the reversals of its races to the backtrack sets.
+    Slot records compare cells by oid: every cell lives in the runner's one
+    memory for the whole exploration and keeps its oid across restores.
 
     Two slots of different processes are dependent when they touch the
     same cell and one of them changes the cell's value, or when both emit
@@ -596,11 +745,11 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
        had when it fell asleep, and it stays asleep exactly as long as
        the slots run since then are independent of that one.
     """
+    runner = _Restorable(factory, workload)
     path: list[_Node] = []
+    index = _Index()
     node = pid = None  # set by a backtrack: the node to explore next, with process pid
     while True:
-        runner = Runner(factory, workload)
-        runner.advance([n.slot[0] for n in path])
         start, sleep = len(path), {}
         while True:
             if node is None:
@@ -616,7 +765,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
             path.append(node)
             sleep = {q: s for q, s in node.sleep.items() if not _dependent(slot, s)}
             node = None
-        _add_reversals(path, start)
+        _add_reversals(path, start, index)
         if not runner.active:
             yield runner.result()
         while path:
@@ -628,37 +777,48 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
                 break
         else:
             return
+        runner.restore(len(path))
+        index.cut(len(path))
 
 
-def _add_reversals(path: list[_Node], start: int) -> None:
+def _add_reversals(path: list[_Node], start: int, index: _Index) -> None:
     """Race detection over the path's slots from slot ``start`` on.
 
-    Reads each node's slot record and sets the ``before`` mask of each node
-    from ``start`` on.  Slot i races with a later slot j of another process
-    when i happens before j with no slot in between.  To reverse the race,
-    the node before slot i needs a backtrack process that can start the
-    sequence v: the slots between i and j that do not happen after i, then
-    j.  Races whose both slots an earlier execution ran were handled then.
+    ``index`` holds the slots before ``start``; each slot from ``start`` on
+    is added to it once its ``before`` mask is set.  Slot i races with a
+    later slot j of another process when i happens before j with no slot in
+    between.  To reverse the race, the node before slot i needs a backtrack
+    process that can start the sequence v: the slots between i and j that
+    do not happen after i, then j.  Races whose both slots an earlier
+    execution ran were handled then.
     """
     for j in range(start, len(path)):
         slot = path[j].slot
+        pid = slot[0]
+        # the latest dependent slot not yet covered happens before j directly
+        dependents = index.dependents(slot)
         mask = covered = 0  # covered: slots that happen before j through another slot
-        for i in range(j - 1, -1, -1):
-            if not mask >> i & 1 and _dependent(path[i].slot, slot):
-                before = path[i].before
-                mask |= before | 1 << i
-                covered |= before
+        while dependents:
+            i = dependents.bit_length() - 1
+            before = path[i].before
+            mask |= before | 1 << i
+            covered |= before
+            dependents &= ~mask
         path[j].before = mask
-        racing = mask & ~covered
-        for i in range(j):
-            if not racing >> i & 1 or path[i].slot[0] == slot[0]:
+        racing = mask & ~covered & ~index.by_pid.get(pid, 0)  # of other processes
+        index.add(j, slot)
+        while racing:
+            i = racing.bit_length() - 1
+            racing ^= 1 << i
+            backtrack = path[i].backtrack
+            if i == j - 1:  # v is j alone
+                backtrack.add(pid)
                 continue
             v = [k for k in range(i + 1, j) if not path[k].before >> i & 1] + [j]
             v_mask = sum(1 << k for k in v)
             initials = {path[k].slot[0] for k in v if not path[k].before & v_mask}
-            node = path[i]
-            if not initials & node.backtrack:
-                node.backtrack.add(min(initials))
+            if not initials & backtrack:
+                backtrack.add(min(initials))
 
 
 def distinct_histories(factory: Callable[[Memory], Any], workload,

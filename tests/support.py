@@ -12,6 +12,8 @@ from relaxobj.shmem import History, Memory, Runner, drive, seeded
 class SpinInstance:
     """Test object whose single op performs a fixed number of reads."""
 
+    process_state = None
+
     def __init__(self, memory):
         self.cell = memory.alloc("register", 0)
 

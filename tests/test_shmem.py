@@ -333,6 +333,105 @@ def test_dpor_leaf_order_is_pinned(name, digest):
     assert hashlib.sha256(repr(schedules).encode()).hexdigest()[:16] == digest
 
 
+# (object, n, k, m, workload, leaves, digest of every leaf's schedule, history and per-op steps)
+_PINNED_LEAVES = {
+    "criterion 3a": (*ORACLE_WORKLOADS["criterion 3a"][:5], 103, "569f03fc374dbeb3"),
+    "criterion 5a": (*ORACLE_WORKLOADS["criterion 5a"][:5], 71, "e012a14428d045af"),
+    "counter three processes, two incs": (
+        "counter", 3, 2, None, "p0:inc,inc,read;p1:inc,inc,read;p2:inc,inc,read", 2808,
+        "a1f254f09daa59b5"),
+}
+
+
+@pytest.mark.parametrize("name", _PINNED_LEAVES)
+def test_dpor_leaf_content_is_pinned(name):
+    # a change to the explorer that keeps its leaves must keep each leaf's
+    # history and per-op steps byte for byte, not only its schedule
+    obj, n, k, m, ops, leaves, digest = _PINNED_LEAVES[name]
+    content = hashlib.sha256()
+    count = 0
+    for leaf in enumerate_interleavings(bench.factory(obj, n, k, m), parse_workload(ops, n),
+                                        reduction="dpor"):
+        count += 1
+        content.update(repr((leaf.schedule, leaf.history.to_json(),
+                             leaf.report.per_op)).encode())
+    assert count == leaves
+    assert content.hexdigest()[:16] == digest
+
+
+# (factory, workload): every object the harness runs, and the test object
+_RESTORE_CASES = {
+    "counter": (bench.factory("counter", 3, 2, None),
+                [[("inc", ()), ("inc", ()), ("read", ()), ("inc", ()), ("read", ())],
+                 [("inc", ()), ("read", ()), ("inc", ()), ("inc", ()), ("read", ())],
+                 [("read", ()), ("inc", ()), ("inc", ()), ("read", ())]]),
+    "maxreg-exact": (bench.factory("maxreg-exact", 3, 2, 64),
+                     [[("write", (5,)), ("read", ()), ("write", (40,))],
+                      [("write", (33,)), ("read", ()), ("write", (2,))],
+                      [("read", ()), ("write", (63,)), ("read", ())]]),
+    "maxreg-approx": (bench.factory("maxreg-approx", 3, 2, 256),
+                      [[("write", (16,)), ("write", (250,)), ("read", ())],
+                       [("write", (2,)), ("read", ()), ("write", (130,))],
+                       [("read", ()), ("write", (7,))]]),
+    # a spin of 0 completes at its invocation, as a private increment does
+    "spin": (SpinInstance, [[("spin", (2,)), ("spin", (0,)), ("spin", (3,))],
+                            [("spin", (1,))], [("spin", (0,)), ("spin", (4,))]]),
+}
+assert set(bench.OBJECTS) < set(_RESTORE_CASES)
+
+
+def _state(runner):
+    """What a runner's future depends on, and what it has recorded, oids aside."""
+    report = runner.report()
+    trace = [(step, pid, primitive, arg, result)
+             for step, pid, _oid, primitive, arg, result in runner.trace or ()]
+    return (History(runner.events).to_json(), tuple(runner.schedule), report.per_op,
+            report.histogram, report.total_steps, report.op_count, runner.ops_completed,
+            list(runner.active), trace)
+
+
+@pytest.mark.parametrize("name", _RESTORE_CASES)
+def test_restored_runner_continues_as_a_fresh_run(name):
+    # the reduced explorer's runner, cut back to slot k after running some
+    # other continuation, must go on exactly as a run that never left the
+    # path: same history, per-op steps and response of every access
+    factory, workload = _RESTORE_CASES[name]
+    for seed in range(6):
+        fresh = run(factory, workload, seeded(seed), record_trace=True)
+        schedule = fresh.schedule
+        runner = shmem._Restorable(factory, workload, record_trace=True)
+        for k in sorted({0, 1, len(schedule) // 3, len(schedule) // 2, len(schedule) - 1},
+                        reverse=True):
+            runner.advance(schedule[len(runner.schedule):k])
+            runner.advance(seeded(seed + 100 + k)(runner))  # another continuation
+            runner.restore(k)
+            prefix = Runner(factory, workload, record_trace=True)
+            prefix.advance(schedule[:k])
+            assert _state(runner) == _state(prefix), (seed, k)
+            runner.advance(schedule[k:])
+            assert _state(runner) == _state(fresh.runner), (seed, k)
+            runner.restore(k)  # the next, smaller k starts from this one
+
+
+def test_explored_objects_declare_their_process_state():
+    # the reduced explorer restores each process's state from the attribute
+    # that the object names; an object that names none cannot be explored
+    for obj in bench.OBJECTS:
+        instance = bench.factory(obj, 3, 2, 64)(Memory())
+        name = type(instance).process_state
+        assert name is None or len(getattr(instance, name)) == 3
+
+    class Undeclared:
+        def __init__(self, memory):
+            self.cell = memory.alloc("register", 0)
+
+        def program(self, pid, op, args=()):
+            return None
+
+    with pytest.raises(AttributeError, match="process_state"):
+        next(enumerate_interleavings(Undeclared, [[("op", ())]], reduction="dpor"))
+
+
 def test_effect_classifies_accesses_that_change_nothing_as_reads():
     mem = Memory()
     reg, bit = mem.alloc("register", 5), mem.alloc("tas", 0)

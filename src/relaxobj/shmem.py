@@ -667,9 +667,13 @@ def _dependent(a: tuple, b: tuple) -> bool:
 class _Index:
     """Bitmasks over the path's slots, by the fields that :func:`_dependent` compares.
 
-    A slot is dependent on exactly the earlier slots of its own process,
-    the earlier emitting ones if it emits, and the earlier ones on its cell:
-    all of them if it modifies the cell, the modifying ones if not.
+    Bit i of ``by_pid[p]`` is set when slot i is process p's, of
+    ``by_oid[c]`` when slot i accesses cell c, of ``modifying[c]`` when it
+    also modifies c, and of ``emitted`` when it emits.  A slot is dependent
+    on exactly the earlier slots of its own process, the earlier emitting
+    ones if it emits, and the earlier ones on its cell: all of them if it
+    modifies the cell, the modifying ones if not.  :func:`_add_reversals`
+    reads and extends the masks in place; a backtrack cuts them.
     """
 
     __slots__ = ("by_pid", "by_oid", "modifying", "emitted")
@@ -679,23 +683,6 @@ class _Index:
         self.by_oid: dict[int, int] = {}
         self.modifying: dict[int, int] = {}  # by oid
         self.emitted = 0
-
-    def dependents(self, slot: tuple) -> int:
-        """The indexed slots that are dependent on ``slot``."""
-        pid, oid, effect, emitted = slot
-        same_cell = self.by_oid if effect != "read" else self.modifying
-        return (self.by_pid.get(pid, 0) | same_cell.get(oid, 0)
-                | (self.emitted if emitted else 0))
-
-    def add(self, j: int, slot: tuple) -> None:
-        pid, oid, effect, emitted = slot
-        bit = 1 << j
-        self.by_pid[pid] = self.by_pid.get(pid, 0) | bit
-        self.by_oid[oid] = self.by_oid.get(oid, 0) | bit
-        if effect != "read":
-            self.modifying[oid] = self.modifying.get(oid, 0) | bit
-        if emitted:
-            self.emitted |= bit
 
     def cut(self, length: int) -> None:
         """Forget the slots from ``length`` on."""
@@ -715,6 +702,9 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
     the lowest-numbered process that is not asleep until no process is
     armed (a leaf) or every armed one is asleep (a blocked execution, not
     yielded), then adds the reversals of its races to the backtrack sets.
+    Most nodes have an empty sleep set; from one, the explorer takes the
+    lowest armed process without filtering, and the child gets a fresh
+    empty set without comparing slots.
     Slot records compare cells by oid: every cell lives in the runner's one
     memory for the whole exploration and keeps its oid across restores.
 
@@ -753,17 +743,22 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
         start, sleep = len(path), {}
         while True:
             if node is None:
-                awake = [p for p in sorted(runner.active) if p not in sleep]
+                awake = runner.active
+                if sleep:
+                    awake = [p for p in awake if p not in sleep]
                 if not awake:
                     break
-                pid = awake[0]
+                pid = min(awake)
                 node = _Node(pid, sleep)
             request = runner._armed[pid][2]
             effect = _effect(request)  # before the step can change the cell
             # only a slot that completes an operation emits history events
             slot = node.slot = (pid, request[1].oid, effect, runner.step(pid))
             path.append(node)
-            sleep = {q: s for q, s in node.sleep.items() if not _dependent(slot, s)}
+            if node.sleep:
+                sleep = {q: s for q, s in node.sleep.items() if not _dependent(slot, s)}
+            else:  # a fresh dict, never node.sleep: a backtrack to the node adds to that one
+                sleep = {}
             node = None
         _add_reversals(path, start, index)
         if not runner.active:
@@ -784,19 +779,34 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
 def _add_reversals(path: list[_Node], start: int, index: _Index) -> None:
     """Race detection over the path's slots from slot ``start`` on.
 
-    ``index`` holds the slots before ``start``; each slot from ``start`` on
-    is added to it once its ``before`` mask is set.  Slot i races with a
+    ``index`` holds the slots before ``start``.  Each slot from ``start`` on
+    reads the earlier slots dependent on it from the index's masks and
+    joins those masks; its ``before`` mask, the slots that happen before
+    it, is the transitive closure of that dependence.  Slot i races with a
     later slot j of another process when i happens before j with no slot in
     between.  To reverse the race, the node before slot i needs a backtrack
     process that can start the sequence v: the slots between i and j that
     do not happen after i, then j.  Races whose both slots an earlier
     execution ran were handled then.
     """
+    by_pid, by_oid, modifying, emitting = (index.by_pid, index.by_oid, index.modifying,
+                                           index.emitted)
     for j in range(start, len(path)):
-        slot = path[j].slot
-        pid = slot[0]
+        node = path[j]
+        pid, oid, effect, emitted = node.slot
+        # the earlier slots dependent on j, while j joins the masks
+        own, on_cell, bit = by_pid.get(pid, 0), by_oid.get(oid, 0), 1 << j
+        by_pid[pid] = own | bit
+        by_oid[oid] = on_cell | bit
+        if effect == "read":  # dependent on the cell's modifying slots only
+            dependents = own | modifying.get(oid, 0)
+        else:
+            dependents = own | on_cell
+            modifying[oid] = modifying.get(oid, 0) | bit
+        if emitted:
+            dependents |= emitting
+            emitting |= bit
         # the latest dependent slot not yet covered happens before j directly
-        dependents = index.dependents(slot)
         mask = covered = 0  # covered: slots that happen before j through another slot
         while dependents:
             i = dependents.bit_length() - 1
@@ -804,9 +814,8 @@ def _add_reversals(path: list[_Node], start: int, index: _Index) -> None:
             mask |= before | 1 << i
             covered |= before
             dependents &= ~mask
-        path[j].before = mask
-        racing = mask & ~covered & ~index.by_pid.get(pid, 0)  # of other processes
-        index.add(j, slot)
+        node.before = mask
+        racing = mask & ~covered & ~own  # of other processes
         while racing:
             i = racing.bit_length() - 1
             racing ^= 1 << i
@@ -819,6 +828,7 @@ def _add_reversals(path: list[_Node], start: int, index: _Index) -> None:
             initials = {path[k].slot[0] for k in v if not path[k].before & v_mask}
             if not initials & backtrack:
                 backtrack.add(min(initials))
+    index.emitted = emitting
 
 
 def distinct_histories(factory: Callable[[Memory], Any], workload,

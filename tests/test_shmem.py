@@ -312,6 +312,10 @@ ORACLE_WORKLOADS = {
     # four increments race for ladder bit 0 and the one unit bit; each loser's tas finds a set bit
     "counter one unit bit": ("counter", 5, 2, None, "p0:inc;p1:inc;p2:inc;p3:inc;p4:read",
                              120),
+    # one execution ends blocked: once p1's write(5) has set the root switch
+    # and p2's write(2) has returned on reading it, p0 alone is armed, asleep
+    "exact blocked execution": ("maxreg-exact", 3, 2, 8, "p0:write(3);p1:write(5);p2:write(2)",
+                                20),
 }
 
 
@@ -340,6 +344,7 @@ _PINNED_LEAVES = {
     "counter three processes, two incs": (
         "counter", 3, 2, None, "p0:inc,inc,read;p1:inc,inc,read;p2:inc,inc,read", 2808,
         "a1f254f09daa59b5"),
+    "exact blocked execution": (*ORACLE_WORKLOADS["exact blocked execution"], "0c566f5d57298b1a"),
 }
 
 
@@ -357,6 +362,49 @@ def test_dpor_leaf_content_is_pinned(name):
                              leaf.report.per_op)).encode())
     assert count == leaves
     assert content.hexdigest()[:16] == digest
+
+
+def test_sleep_set_blocked_execution_is_explored_but_not_yielded(monkeypatch):
+    # an execution whose armed processes are all asleep still has its races
+    # reversed, but it is no leaf: the exploration runs one execution more
+    obj, n, k, m, ops, leaves = ORACLE_WORKLOADS["exact blocked execution"]
+    executions = []
+    add_reversals = shmem._add_reversals
+
+    def counted(path, start, index):
+        executions.append(start)
+        add_reversals(path, start, index)
+
+    monkeypatch.setattr(shmem, "_add_reversals", counted)
+    stats: dict = {}
+    histories = distinct_histories(bench.factory(obj, n, k, m), parse_workload(ops, n), stats)
+    assert stats == {"leaves": leaves}
+    assert len(executions) == leaves + 1
+    assert len(histories) == 6
+
+
+@pytest.mark.parametrize("name", ORACLE_WORKLOADS)
+def test_happens_before_masks_are_the_closure_of_dependence(name):
+    # the race index must give each slot of a replayed leaf the earlier slots
+    # that happen before it: the transitive closure of pairwise _dependent
+    obj, n, k, m, ops, _ = ORACLE_WORKLOADS[name]
+    factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
+    for leaf in enumerate_interleavings(factory, workload, reduction="dpor"):
+        runner, path = Runner(factory, workload), []
+        for pid in leaf.schedule:
+            request = runner._armed[pid][2]
+            node = shmem._Node(pid, {})
+            effect = shmem._effect(request)  # before the step can change the cell
+            node.slot = (pid, request[1].oid, effect, runner.step(pid))
+            path.append(node)
+        shmem._add_reversals(path, 0, shmem._Index())
+        closure: list[int] = []
+        for j, node in enumerate(path):
+            closure.append(0)
+            for i in range(j):
+                if shmem._dependent(path[i].slot, node.slot):
+                    closure[j] |= 1 << i | closure[i]
+        assert [node.before for node in path] == closure, leaf.schedule
 
 
 # (factory, workload): every object the harness runs, and the test object

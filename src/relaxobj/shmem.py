@@ -509,7 +509,7 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
-        return _source_dpor(factory, workload)
+        return map(Runner.result, _source_dpor(factory, workload))
     if reduction is not None:
         raise ValueError(f"unknown reduction {reduction!r}")
     return _every_interleaving(factory, workload)
@@ -693,15 +693,17 @@ class _Index:
         self.emitted &= keep
 
 
-def _source_dpor(factory, workload) -> Iterator[RunResult]:
+def _source_dpor(factory, workload) -> Iterator[_Restorable]:
     """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
 
-    One runner, a :class:`_Restorable`, carries every execution.  An
-    execution starts at the node that the last backtrack popped to, to
-    which the runner was restored without a replay.  It extends the path by
-    the lowest-numbered process that is not asleep until no process is
-    armed (a leaf) or every armed one is asleep (a blocked execution, not
-    yielded), then adds the reversals of its races to the backtrack sets.
+    One runner, a :class:`_Restorable`, carries every execution, and each
+    leaf is yielded as that live runner, which the next resumption
+    restores.  An execution starts at the node that the last backtrack
+    popped to, to which the runner was restored without a replay.  It
+    extends the path by the lowest-numbered process that is not asleep
+    until no process is armed (a leaf) or every armed one is asleep (a
+    blocked execution, not yielded), then adds the reversals of its races
+    to the backtrack sets.
     Most nodes have an empty sleep set; from one, the explorer takes the
     lowest armed process without filtering, and the child gets a fresh
     empty set without comparing slots.
@@ -762,7 +764,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
             node = None
         _add_reversals(path, start, index)
         if not runner.active:
-            yield runner.result()
+            yield runner
         while path:
             node = path.pop()
             node.sleep[node.slot[0]] = node.slot
@@ -835,15 +837,19 @@ def distinct_histories(factory: Callable[[Memory], Any], workload,
                        stats: dict | None = None) -> list[History]:
     """The first history seen for each signature, in exploration order.
 
-    Explores with ``reduction="dpor"``, which reaches every history of the
-    full enumeration.  If ``stats`` is given, ``stats["leaves"]`` is set to
+    Explores as ``reduction="dpor"`` does, which reaches every history of
+    the full enumeration, but reads each leaf from the explorer's live
+    runner, with no snapshot: the events are copied only for a signature
+    not seen before.  If ``stats`` is given, ``stats["leaves"]`` is set to
     the number of leaves explored.
     """
     seen: dict[tuple, History] = {}
     leaves = 0
-    for result in enumerate_interleavings(factory, workload, reduction="dpor"):
+    for runner in _source_dpor(factory, [list(ops) for ops in workload]):
         leaves += 1
-        seen.setdefault(result.history.signature(), result.history)
+        signature = History(runner.events).signature()
+        if signature not in seen:
+            seen[signature] = History(runner.events[:])
     if stats is not None:
         stats["leaves"] = leaves
     return list(seen.values())

@@ -528,6 +528,43 @@ def test_distinct_histories_reproducible_and_counts_leaves():
     assert len(first) == 38
 
 
+_THREE_PROCESS_COUNTER = "counter three processes, two incs"
+
+
+@pytest.mark.parametrize("case", [*ORACLE_WORKLOADS.values(),
+                                  _PINNED_LEAVES[_THREE_PROCESS_COUNTER]],
+                         ids=[*ORACLE_WORKLOADS, _THREE_PROCESS_COUNTER])
+def test_distinct_histories_keeps_the_first_reduced_leaf_of_each_signature(case):
+    # distinct_histories reads leaves from the live runner; what it keeps must
+    # be what deduplicating the snapshot leaves keeps, steps included
+    obj, n, k, m, ops = case[:5]
+    factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
+    first: dict[tuple, str] = {}
+    leaves = 0
+    for leaf in enumerate_interleavings(factory, workload, reduction="dpor"):
+        leaves += 1
+        first.setdefault(leaf.history.signature(), leaf.history.to_json())
+    stats: dict = {}
+    kept = [h.to_json() for h in distinct_histories(factory, workload, stats)]
+    assert kept == list(first.values())
+    assert stats == {"leaves": leaves}
+
+
+@pytest.mark.parametrize("name", ORACLE_WORKLOADS)
+def test_reduced_leaves_stay_snapshots_after_the_explorer_moves_on(name):
+    # the explorer restores one runner between leaves; a leaf kept past that
+    # must still hold the run its schedule replays
+    obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
+    factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
+    kept = list(enumerate_interleavings(factory, workload, reduction="dpor"))
+    assert len(kept) == leaves
+    for leaf in kept:
+        fresh = run(factory, workload, leaf.schedule)
+        assert leaf.schedule == fresh.schedule
+        assert leaf.history.to_json() == fresh.history.to_json()
+        assert leaf.report.per_op == fresh.report.per_op
+
+
 def test_dpor_reaches_three_process_counter():
     # the full enumeration of this workload does not finish in 100 s
     factory = bench.factory("counter", 3, 2, None)

@@ -36,6 +36,7 @@ import json
 import random
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -505,11 +506,12 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     declare its per-process state (see :class:`_Restorable`).  A reduced
     leaf's ``history``, ``report`` and ``schedule`` are snapshots, but its
     ``runner`` and ``instance`` are the explorer's live ones, which later
-    leaves change.
+    leaves change; its report is built from its history and schedule when
+    it is first read (see :class:`_Leaf`).
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
-        return map(Runner.result, _source_dpor(factory, workload))
+        return _source_dpor(factory, workload)
     if reduction is not None:
         raise ValueError(f"unknown reduction {reduction!r}")
     return _every_interleaving(factory, workload)
@@ -629,6 +631,39 @@ class _Restorable(Runner):
         self._armed[p] = (gen, name, request, steps)
 
 
+class _Leaf(RunResult):
+    """A reduced leaf: a snapshot of the explorer's runner when every operation has completed.
+
+    The history and schedule are copied when the leaf is made.  The report
+    is built from them when it is first read, so a consumer that reads no
+    report, as :func:`distinct_histories`, builds none.  Each slot of the
+    explorer's runner is one access, so an event's ``step`` is the number
+    of slots before it, and an operation took the slots of its process
+    between its invocation and its response.
+    """
+
+    def __init__(self, runner: _Restorable) -> None:
+        self.history = History(runner.events[:])
+        self.schedule = tuple(runner.schedule)
+        self.trace = None if runner.trace is None else runner.trace[:]
+        self.instance, self.runner = runner.instance, runner
+
+    @cached_property
+    def report(self) -> StepReport:
+        events, schedule = self.history._events, self.schedule
+        per_op: list[list[int]] = [[] for _ in range(self.runner.n)]
+        invoked = [0] * self.runner.n  # each process's last invocation step
+        histogram: dict[int, int] = {}  # in completion order, as a fresh run's
+        for kind, p, _, _, step in events:
+            if kind == "invoke":
+                invoked[p] = step
+            else:
+                steps = schedule[invoked[p]:step].count(p)
+                per_op[p].append(steps)
+                histogram[steps] = histogram.get(steps, 0) + 1
+        return StepReport(per_op, len(schedule), len(events) // 2, histogram)
+
+
 class _Node:
     """A state on the reduced explorer's current path, and the slot explored from it.
 
@@ -693,17 +728,16 @@ class _Index:
         self.emitted &= keep
 
 
-def _source_dpor(factory, workload) -> Iterator[_Restorable]:
+def _source_dpor(factory, workload) -> Iterator[RunResult]:
     """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
 
     One runner, a :class:`_Restorable`, carries every execution, and each
-    leaf is yielded as that live runner, which the next resumption
-    restores.  An execution starts at the node that the last backtrack
-    popped to, to which the runner was restored without a replay.  It
-    extends the path by the lowest-numbered process that is not asleep
-    until no process is armed (a leaf) or every armed one is asleep (a
-    blocked execution, not yielded), then adds the reversals of its races
-    to the backtrack sets.
+    leaf is yielded as a :class:`_Leaf` of it.  An execution starts at the
+    node that the last backtrack popped to, to which the runner was
+    restored without a replay.  It extends the path by the lowest-numbered
+    process that is not asleep until no process is armed (a leaf) or every
+    armed one is asleep (a blocked execution, not yielded), then adds the
+    reversals of its races to the backtrack sets.
     Most nodes have an empty sleep set; from one, the explorer takes the
     lowest armed process without filtering, and the child gets a fresh
     empty set without comparing slots.
@@ -764,7 +798,7 @@ def _source_dpor(factory, workload) -> Iterator[_Restorable]:
             node = None
         _add_reversals(path, start, index)
         if not runner.active:
-            yield runner
+            yield _Leaf(runner)
         while path:
             node = path.pop()
             node.sleep[node.slot[0]] = node.slot
@@ -837,19 +871,16 @@ def distinct_histories(factory: Callable[[Memory], Any], workload,
                        stats: dict | None = None) -> list[History]:
     """The first history seen for each signature, in exploration order.
 
-    Explores as ``reduction="dpor"`` does, which reaches every history of
-    the full enumeration, but reads each leaf from the explorer's live
-    runner, with no snapshot: the events are copied only for a signature
-    not seen before.  If ``stats`` is given, ``stats["leaves"]`` is set to
-    the number of leaves explored.
+    Explores with ``reduction="dpor"``, which reaches every history of the
+    full enumeration, and reads no leaf's report, so none is built.  If
+    ``stats`` is given, ``stats["leaves"]`` is set to the number of leaves
+    explored.
     """
     seen: dict[tuple, History] = {}
     leaves = 0
-    for runner in _source_dpor(factory, [list(ops) for ops in workload]):
+    for result in enumerate_interleavings(factory, workload, reduction="dpor"):
         leaves += 1
-        signature = History(runner.events).signature()
-        if signature not in seen:
-            seen[signature] = History(runner.events[:])
+        seen.setdefault(result.history.signature(), result.history)
     if stats is not None:
         stats["leaves"] = leaves
     return list(seen.values())

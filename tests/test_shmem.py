@@ -535,8 +535,8 @@ _THREE_PROCESS_COUNTER = "counter three processes, two incs"
                                   _PINNED_LEAVES[_THREE_PROCESS_COUNTER]],
                          ids=[*ORACLE_WORKLOADS, _THREE_PROCESS_COUNTER])
 def test_distinct_histories_keeps_the_first_reduced_leaf_of_each_signature(case):
-    # distinct_histories reads leaves from the live runner; what it keeps must
-    # be what deduplicating the snapshot leaves keeps, steps included
+    # what distinct_histories keeps must be the first reduced leaf's history
+    # of each signature, in order and steps included, and it counts every leaf
     obj, n, k, m, ops = case[:5]
     factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
     first: dict[tuple, str] = {}
@@ -553,7 +553,8 @@ def test_distinct_histories_keeps_the_first_reduced_leaf_of_each_signature(case)
 @pytest.mark.parametrize("name", ORACLE_WORKLOADS)
 def test_reduced_leaves_stay_snapshots_after_the_explorer_moves_on(name):
     # the explorer restores one runner between leaves; a leaf kept past that
-    # must still hold the run its schedule replays
+    # must still hold the run its schedule replays, and the report it builds
+    # when first read must be that run's
     obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
     factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
     kept = list(enumerate_interleavings(factory, workload, reduction="dpor"))
@@ -562,7 +563,7 @@ def test_reduced_leaves_stay_snapshots_after_the_explorer_moves_on(name):
         fresh = run(factory, workload, leaf.schedule)
         assert leaf.schedule == fresh.schedule
         assert leaf.history.to_json() == fresh.history.to_json()
-        assert leaf.report.per_op == fresh.report.per_op
+        assert leaf.report == fresh.report
 
 
 def test_dpor_reaches_three_process_counter():

@@ -33,6 +33,7 @@ scheduled slot then executes exactly one armed access.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import threading
 from dataclasses import dataclass
@@ -287,6 +288,43 @@ class StepReport:
         return max(self.histogram, default=0)
 
 
+def _recorded_report(events: list[tuple], schedule: Iterable[int], n: int) -> StepReport:
+    """A recorded run's step accounting, read from its events and schedule.
+
+    A slot is an access when its process has an operation in flight, which
+    the events say, and a skip otherwise; an event that an access emits
+    carries the step count it made.  An operation's steps are its process's
+    accesses between its invocation and its response, or so far if it is in
+    flight.  The histogram is in completion order, then the in-flight
+    operations', as an unrecorded run's is.
+    """
+    per_op: list[list[int]] = [[] for _ in range(n)]
+    running: list[int | None] = [None] * n  # each in-flight operation's steps so far
+    histogram: dict[int, int] = {}
+    slots = iter(schedule)
+    steps = 0
+    for kind, p, _, _, step in events:
+        while steps < step:
+            q = next(slots)
+            if running[q] is not None:
+                running[q] += 1
+                steps += 1
+        if kind == "invoke":
+            running[p] = 0
+        else:
+            done, running[p] = running[p], None
+            per_op[p].append(done)
+            histogram[done] = histogram.get(done, 0) + 1
+    for q in slots:  # the accesses after the last event, all of in-flight operations
+        if running[q] is not None:
+            running[q] += 1
+    for p, done in enumerate(running):
+        if done is not None:
+            per_op[p].append(done)
+            histogram[done] = histogram.get(done, 0) + 1
+    return StepReport(per_op, sum(map(sum, per_op)), sum(map(len, per_op)), histogram)
+
+
 # ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
@@ -299,9 +337,10 @@ class Runner:
     ``memory``, whose steps it charges.  Each process pulls its next
     ``(name, args)`` operation from its own iterable when it invokes it.
     With ``record_history`` the runner keeps the events (plain tuples in
-    :class:`Event`'s field order), per-op step lists and ``schedule``, the
-    pid of every slot (skips included); without it, only a step histogram.
-    With ``record_trace`` each access appends
+    :class:`Event`'s field order) and ``schedule``, the pid of every slot
+    (skips included), and its report is read from them; without it, it
+    keeps ``completed``, a histogram of the completed operations by step
+    count.  With ``record_trace`` each access appends
     ``(step_index, pid, oid, primitive, arg, result)`` to ``trace``.
     """
 
@@ -315,8 +354,7 @@ class Runner:
         # each process's in-flight operation: (gen, name, request, steps so far)
         self._armed: list[tuple | None] = [None] * self.n
         self.active: list[int] = []  # pids with an armed access, arming order
-        self.completed: dict[int, int] = {}  # completed operations by step count
-        self.per_op = [[] for _ in range(self.n)] if record_history else None  # completed
+        self.completed: dict[int, int] | None = None if record_history else {}
         self.events: list[tuple] | None = [] if record_history else None
         self.schedule: list[int] | None = [] if record_history else None
         self.trace: list[tuple] | None = [] if record_trace else None
@@ -347,12 +385,12 @@ class Runner:
                     self.active.append(p)
                     break
             done += 1
-            if events is not None:  # per_op is kept exactly when events are
-                self.per_op[p].append(0)
+            if events is not None:
                 events.append(("respond", p, name, value, steps))
         if done:
             self.ops_completed += done
-            self.completed[0] = self.completed.get(0, 0) + done
+            if events is None:  # completed is kept exactly when events are not
+                self.completed[0] = self.completed.get(0, 0) + done
 
     def step(self, p: int) -> bool:
         """Run one slot for p (its armed access or a skip); True if it completed p's op."""
@@ -373,9 +411,9 @@ class Runner:
             self._armed[p] = None
             self.active.remove(p)
             self.ops_completed += 1
-            self.completed[steps] = self.completed.get(steps, 0) + 1
-            if self.events is not None:  # per_op is kept exactly when events are
-                self.per_op[p].append(steps)
+            if self.events is None:  # completed is kept exactly when events are not
+                self.completed[steps] = self.completed.get(steps, 0) + 1
+            else:
                 self.events.append(("respond", p, name, stop.value, self.memory.steps))
             self._invoke_until_armed(p)
             return True
@@ -397,24 +435,18 @@ class Runner:
 
     def report(self) -> StepReport:
         """Step accounting so far; each in-flight operation counts its steps so far."""
+        if self.events is not None:
+            return _recorded_report(self.events, self.schedule, self.n)
         in_flight = [armed[3] for armed in self._armed if armed]
         histogram = dict(self.completed)
         for steps in in_flight:
             histogram[steps] = histogram.get(steps, 0) + 1
-        per_op = None if self.per_op is None else [
-            done + [armed[3]] if armed else done[:]
-            for done, armed in zip(self.per_op, self._armed)]
-        return StepReport(per_op, self.memory.steps, self.ops_completed + len(in_flight),
+        return StepReport(None, self.memory.steps, self.ops_completed + len(in_flight),
                           histogram)
 
     def result(self) -> RunResult:
         """A snapshot of the run so far; its schedule replays it if history is recorded."""
-        # built from a list, CPython takes the tuple from its free list;
-        # tuple(<generator>) would resize one and grow that list instead
-        schedule = None if self.schedule is None else tuple(self.schedule)
-        history = History([] if self.events is None else self.events[:])
-        trace = None if self.trace is None else self.trace[:]
-        return RunResult(history, self.report(), trace, self.instance, self, schedule)
+        return RunResult(self)
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +475,29 @@ def seeded(seed: int) -> Callable[[Runner], Iterator[int]]:
     return slots
 
 
-@dataclass
 class RunResult:
-    """History plus step accounting for one run (handles kept for inspection)."""
+    """A snapshot of a run: history plus step accounting (handles kept for inspection).
 
-    history: History
-    report: StepReport
-    trace: list[tuple] | None
-    instance: Any
-    runner: Runner
-    schedule: tuple[int, ...] | None  # the pid of every slot; None without history
+    ``history``, ``schedule`` (the pid of every slot; ``None`` without
+    history) and ``trace`` are copies, which later slots do not change;
+    ``runner`` and ``instance`` are the live ones.  An unrecorded run's
+    ``report`` is taken at once, and a recorded run's is read from the
+    copies when it is first read, so :func:`distinct_histories` builds none.
+    """
+
+    def __init__(self, runner: Runner) -> None:
+        self.runner, self.instance = runner, runner.instance
+        self.history = History([] if runner.events is None else runner.events[:])
+        # built from a list, CPython takes the tuple from its free list;
+        # tuple(<generator>) would resize one and grow that list instead
+        self.schedule = None if runner.schedule is None else tuple(runner.schedule)
+        self.trace = None if runner.trace is None else runner.trace[:]
+        if runner.events is None:
+            self.report = runner.report()
+
+    @cached_property
+    def report(self) -> StepReport:
+        return _recorded_report(self.history._events, self.schedule, self.runner.n)
 
 
 def run(factory: Callable[[Memory], Any], workload, schedule,
@@ -503,11 +548,10 @@ def enumerate_interleavings(factory: Callable[[Memory], Any], workload,
     :func:`_source_dpor` gives the dependence relation and why it is sound.
     The reduced explorer drives one runner, which it restores to each
     backtrack point instead of replaying the path, so the object must
-    declare its per-process state (see :class:`_Restorable`).  A reduced
-    leaf's ``history``, ``report`` and ``schedule`` are snapshots, but its
-    ``runner`` and ``instance`` are the explorer's live ones, which later
-    leaves change; its report is built from its history and schedule when
-    it is first read (see :class:`_Leaf`).
+    declare its per-process state (see :class:`_Restorable`).  Every leaf
+    is a :class:`RunResult`: its ``history``, ``report`` and ``schedule``
+    are snapshots, but a reduced leaf's ``runner`` and ``instance`` are the
+    explorer's live ones, which later leaves change.
     """
     workload = [list(ops) for ops in workload]
     if reduction == "dpor":
@@ -556,7 +600,8 @@ class _Restorable(Runner):
         super().__init__(factory, workload, record_trace=record_trace)
 
     def _invoke_until_armed(self, p: int) -> None:
-        invoked = len(self.per_op[p])
+        # the process's operations invoked so far: a list iterator's hint is exact
+        invoked = len(self._workload[p]) - operator.length_hint(self._ops[p])
         name = self.instance.process_state  # an undeclared object fails here
         state = None if name is None else vars(getattr(self.instance, name)[p]).copy()
         Runner._invoke_until_armed(self, p)
@@ -572,13 +617,13 @@ class _Restorable(Runner):
         """Cut the run back to its state after its first ``slots`` slots.
 
         Undoes each later slot's cell change, newest first, and cuts the
-        events, schedule, trace and per-op records back to that state.  Each
-        process that ran a slot since then gets its in-flight operation
-        rebuilt from the capture taken before its invocation: its variables
-        are set back in place, ``program`` is called again for the
-        operations invoked since, and the armed one is sent the responses
-        that the log records, with no memory access.  Cells allocated since
-        stay allocated, back at their initial 0, so every cell keeps its oid.
+        events, schedule and trace back to that state.  Each process that
+        ran a slot since then gets its in-flight operation rebuilt from the
+        capture taken before its invocation: its variables are set back in
+        place, ``program`` is called again for the operations invoked since,
+        and the armed one is sent the responses that the log records, with
+        no memory access.  Cells allocated since stay allocated, back at
+        their initial 0, so every cell keeps its oid.
         """
         log = self._log
         rebuilt = set()
@@ -590,14 +635,9 @@ class _Restorable(Runner):
         del self.schedule[slots:]
         if self.trace is not None:
             del self.trace[slots:]
-        events, per_op, completed = self.events, self.per_op, self.completed
+        events = self.events
         while events and events[-1][4] > slots:  # emitted by a slot after the state
-            event = events.pop()
-            if event[0] == "respond":
-                done = per_op[event[1]].pop()
-                completed[done] -= 1
-                if not completed[done]:
-                    del completed[done]
+            if events.pop()[0] == "respond":
                 self.ops_completed -= 1
         for p in rebuilt:
             self._rebuild(p)
@@ -629,39 +669,6 @@ class _Restorable(Runner):
                 request = gen.send(None if sent[0] == "write" else old)
                 steps += 1
         self._armed[p] = (gen, name, request, steps)
-
-
-class _Leaf(RunResult):
-    """A reduced leaf: a snapshot of the explorer's runner when every operation has completed.
-
-    The history and schedule are copied when the leaf is made.  The report
-    is built from them when it is first read, so a consumer that reads no
-    report, as :func:`distinct_histories`, builds none.  Each slot of the
-    explorer's runner is one access, so an event's ``step`` is the number
-    of slots before it, and an operation took the slots of its process
-    between its invocation and its response.
-    """
-
-    def __init__(self, runner: _Restorable) -> None:
-        self.history = History(runner.events[:])
-        self.schedule = tuple(runner.schedule)
-        self.trace = None if runner.trace is None else runner.trace[:]
-        self.instance, self.runner = runner.instance, runner
-
-    @cached_property
-    def report(self) -> StepReport:
-        events, schedule = self.history._events, self.schedule
-        per_op: list[list[int]] = [[] for _ in range(self.runner.n)]
-        invoked = [0] * self.runner.n  # each process's last invocation step
-        histogram: dict[int, int] = {}  # in completion order, as a fresh run's
-        for kind, p, _, _, step in events:
-            if kind == "invoke":
-                invoked[p] = step
-            else:
-                steps = schedule[invoked[p]:step].count(p)
-                per_op[p].append(steps)
-                histogram[steps] = histogram.get(steps, 0) + 1
-        return StepReport(per_op, len(schedule), len(events) // 2, histogram)
 
 
 class _Node:
@@ -732,7 +739,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
     """Stateless source-set and sleep-set DPOR: one maximal execution per trace class.
 
     One runner, a :class:`_Restorable`, carries every execution, and each
-    leaf is yielded as a :class:`_Leaf` of it.  An execution starts at the
+    leaf is yielded as its :meth:`~Runner.result`.  An execution starts at the
     node that the last backtrack popped to, to which the runner was
     restored without a replay.  It extends the path by the lowest-numbered
     process that is not asleep until no process is armed (a leaf) or every
@@ -798,7 +805,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
             node = None
         _add_reversals(path, start, index)
         if not runner.active:
-            yield _Leaf(runner)
+            yield runner.result()
         while path:
             node = path.pop()
             node.sleep[node.slot[0]] = node.slot

@@ -165,7 +165,9 @@ def test_run_without_history_keeps_no_per_slot_list():
 
 
 def test_mid_run_result_is_a_snapshot():
-    # a result taken mid-run keeps the run as it stood, which its schedule replays
+    # a result taken mid-run keeps the run as it stood, which its schedule
+    # replays; its report, first read after the runner has finished, is that
+    # run's too
     factory = bench.factory("counter", 2, 2, None)
     workload = [[("inc", ()), ("read", ())] for _ in range(2)]
     runner = Runner(factory, workload, record_trace=True)
@@ -179,6 +181,8 @@ def test_mid_run_result_is_a_snapshot():
     again = run(factory, workload, list(result.schedule), record_trace=True)
     assert again.trace == result.trace
     assert list(again.history) == list(result.history)
+    assert result.report == again.report
+    assert result.report != runner.report()  # the finished run's
 
 
 def test_replay_determinism():
@@ -436,6 +440,75 @@ def _state(runner):
     return (History(runner.events).to_json(), tuple(runner.schedule), report.per_op,
             report.histogram, report.total_steps, report.op_count, runner.ops_completed,
             list(runner.active), trace)
+
+
+def _assert_report_counts_the_trace(factory, workload, result):
+    """A recorded result's report against an unrecorded, traced run of its schedule.
+
+    The unrecorded runner keeps its own histogram, and each operation's
+    steps are counted from its trace: its process's accesses from its
+    invocation's step to its response's, or to the end if it is in flight.
+    """
+    oracle = Runner(factory, workload, record_history=False, record_trace=True)
+    oracle.advance(result.schedule)
+    report, expected = result.report, oracle.report()
+    assert list(report.histogram.items()) == list(expected.histogram.items())
+    assert (report.total_steps, report.op_count) == (expected.total_steps, expected.op_count)
+    per_op: list[list[int]] = [[] for _ in workload]
+    invoked: dict[int, int] = {}  # in-flight operations: pid -> invocation step
+    for event in result.history:
+        if event.kind == "invoke":
+            invoked[event.proc] = event.step
+        else:
+            start = invoked.pop(event.proc)
+            per_op[event.proc].append(sum(1 for t in oracle.trace
+                                          if t[1] == event.proc and start <= t[0] < event.step))
+    for p, start in invoked.items():
+        per_op[p].append(sum(1 for t in oracle.trace if t[1] == p and start <= t[0]))
+    assert report.per_op == per_op
+
+
+_REPORT_CASES = {
+    **REPLAY_CASES,
+    **{f"three-process {name} seed {seed}": (factory, workload, seeded(seed))
+       for name, (factory, workload) in _RESTORE_CASES.items() for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", _REPORT_CASES)
+def test_recorded_report_counts_the_trace_of_an_unrecorded_run(name):
+    # a recorded run's report is read from its events and schedule; an
+    # unrecorded run keeps its own histogram and a trace of every access,
+    # and the two must agree on the whole run and on runs cut mid-way
+    factory, workload, schedule = _REPORT_CASES[name]
+    whole = run(factory, workload, schedule).schedule
+    for cut in sorted({0, 1, len(whole) // 3, len(whole) // 2, len(whole)}):
+        runner = Runner(factory, workload)
+        runner.advance(whole[:cut])
+        _assert_report_counts_the_trace(factory, workload, runner.result())
+
+
+@pytest.mark.parametrize("name", ["criterion 3a", "criterion 5a"])
+def test_reduced_leaf_reports_count_the_trace_of_an_unrecorded_run(name):
+    obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
+    factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
+    count = 0
+    for leaf in enumerate_interleavings(factory, workload, reduction="dpor"):
+        count += 1
+        _assert_report_counts_the_trace(factory, workload, leaf)
+    assert count == leaves
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), min_size=1, max_size=3)
+       .flatmap(lambda spins: st.tuples(
+           st.just(spins), st.lists(st.integers(0, len(spins) - 1), max_size=24))))
+def test_recorded_report_counts_the_trace_on_random_pid_lists(case):
+    # pids drawn without regard to who is armed: slots of finished processes
+    # are skips, and spins of 0 complete at their invocation
+    spins, pids = case
+    workload = [[("spin", (c,)) for c in counts] for counts in spins]
+    _assert_report_counts_the_trace(SpinInstance, workload, run(SpinInstance, workload, pids))
 
 
 @pytest.mark.parametrize("name", _RESTORE_CASES)

@@ -71,7 +71,7 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, not {self.n}")
         if self.n > MAX_PROCESSES:
             raise ValueError(f"n must be at most {MAX_PROCESSES}, not {self.n}")
         if self.total_ops < 1:

@@ -61,6 +61,8 @@ def parse_workload(text: str, n: int | None = None) -> list[list[tuple]]:
     if not procs:
         raise UsageError("empty workload")
     count = n if n is not None else max(procs) + 1
+    if count < 1:
+        raise UsageError(f"n must be >= 1, not {count}")
     if count > bench.MAX_PROCESSES:
         raise UsageError(f"n must be at most {bench.MAX_PROCESSES}, not {count}")
     for pid in procs:

@@ -340,8 +340,9 @@ class Runner:
     :class:`Event`'s field order) and ``schedule``, the pid of every slot
     (skips included), and its report is read from them; without it, it
     keeps ``completed``, a histogram of the completed operations by step
-    count.  With ``record_trace`` each access appends
-    ``(step_index, pid, oid, primitive, arg, result)`` to ``trace``.
+    count.  With ``record_trace`` each access appends to ``trace``
+    ``(pid, request, the value its cell held before it)``, which is what a
+    read or a ``tas`` returns; :class:`RunResult` builds the rows.
     """
 
     def __init__(self, factory: Callable[[Memory], Any],
@@ -400,10 +401,9 @@ class Runner:
         if armed is None:
             return False
         gen, name, request, steps = armed
-        result = self.memory.access(request)
         if self.trace is not None:
-            self.trace.append((self.memory.steps - 1, p, request[1].oid, request[0],
-                               request[2] if len(request) > 2 else None, result))
+            self.trace.append((p, request, request[1].value))
+        result = self.memory.access(request)
         steps += 1
         try:
             self._armed[p] = (gen, name, gen.send(result), steps)
@@ -479,10 +479,12 @@ class RunResult:
     """A snapshot of a run: history plus step accounting (handles kept for inspection).
 
     ``history``, ``schedule`` (the pid of every slot; ``None`` without
-    history) and ``trace`` are copies, which later slots do not change;
-    ``runner`` and ``instance`` are the live ones.  An unrecorded run's
-    ``report`` is taken at once, and a recorded run's is read from the
-    copies when it is first read, so :func:`distinct_histories` builds none.
+    history) and the runner's trace are copies, which later slots do not
+    change; ``runner`` and ``instance`` are the live ones.  An unrecorded
+    run's ``report`` is taken at once.  A recorded run's ``report`` and the
+    ``trace`` rows ``(step, pid, oid, primitive, arg, result)`` (``result``
+    ``None`` for a write; ``None`` without a trace) are built from the
+    copies when first read, so :func:`distinct_histories` builds no report.
     """
 
     def __init__(self, runner: Runner) -> None:
@@ -491,13 +493,21 @@ class RunResult:
         # built from a list, CPython takes the tuple from its free list;
         # tuple(<generator>) would resize one and grow that list instead
         self.schedule = None if runner.schedule is None else tuple(runner.schedule)
-        self.trace = None if runner.trace is None else runner.trace[:]
+        self._accesses = None if runner.trace is None else runner.trace[:]
         if runner.events is None:
             self.report = runner.report()
 
     @cached_property
     def report(self) -> StepReport:
         return _recorded_report(self.history._events, self.schedule, self.runner.n)
+
+    @cached_property
+    def trace(self) -> list[tuple] | None:
+        if self._accesses is None:
+            return None
+        return [(step, p, request[1].oid, request[0], request[2] if len(request) > 2 else None,
+                 None if request[0] == "write" else before)
+                for step, (p, request, before) in enumerate(self._accesses)]
 
 
 def run(factory: Callable[[Memory], Any], workload, schedule,
@@ -578,9 +588,9 @@ def _every_interleaving(factory, workload) -> Iterator[RunResult]:
 class _Restorable(Runner):
     """The reduced explorer's runner: it is cut back to an earlier slot without a replay.
 
-    Each slot runs an armed access (a skip is not supported) and logs its
-    pid, its request and the value that the request's cell held before it
-    ran, which is also what a read or a ``tas`` returns.  The object under
+    Each slot runs an armed access (a skip is not supported), and the
+    runner always keeps its trace: per slot, its pid, its request and the
+    value that the request's cell held before it ran.  The object under
     test declares its per-process state in its ``process_state`` class
     attribute: the name of an attribute that holds a list, indexed by pid,
     of objects whose attributes are that process's variables, or ``None``
@@ -589,15 +599,13 @@ class _Restorable(Runner):
     operation that a slot completes, the runner copies those attributes.
     """
 
-    def __init__(self, factory: Callable[[Memory], Any], workload: list[list[tuple]],
-                 record_trace: bool = False) -> None:
+    def __init__(self, factory: Callable[[Memory], Any], workload: list[list[tuple]]) -> None:
         self._workload = workload
-        self._log: list[tuple] = []  # per slot: (pid, request, the cell's value before it)
-        # per process, one capture per armed operation, oldest first: (the event
-        # index of its invocation, and before the invocations that armed it,
-        # the process's operations invoked, the slots run and its variables)
+        # per process, one capture per armed operation, oldest first: before
+        # the invocations that armed it, the process's operations invoked, the
+        # slots run and its variables
         self._captures: list[list[tuple]] = [[] for _ in workload]
-        super().__init__(factory, workload, record_trace=record_trace)
+        super().__init__(factory, workload, record_trace=True)
 
     def _invoke_until_armed(self, p: int) -> None:
         # the process's operations invoked so far: a list iterator's hint is exact
@@ -606,12 +614,7 @@ class _Restorable(Runner):
         state = None if name is None else vars(getattr(self.instance, name)[p]).copy()
         Runner._invoke_until_armed(self, p)
         if self._armed[p] is not None:
-            self._captures[p].append((len(self.events) - 1, invoked, len(self._log), state))
-
-    def step(self, p: int) -> bool:
-        request = self._armed[p][2]
-        self._log.append((p, request, request[1].value))
-        return Runner.step(self, p)
+            self._captures[p].append((invoked, len(self.trace), state))
 
     def restore(self, slots: int) -> None:
         """Cut the run back to its state after its first ``slots`` slots.
@@ -621,35 +624,32 @@ class _Restorable(Runner):
         ran a slot since then gets its in-flight operation rebuilt from the
         capture taken before its invocation: its variables are set back in
         place, ``program`` is called again for the operations invoked since,
-        and the armed one is sent the responses that the log records, with
-        no memory access.  Cells allocated since stay allocated, back at
+        and the armed one is sent the responses that the trace records,
+        with no memory access.  Cells allocated since stay allocated, back at
         their initial 0, so every cell keeps its oid.
         """
-        log = self._log
         rebuilt = set()
-        for p, request, old in reversed(log[slots:]):
+        for p, request, old in reversed(self.trace[slots:]):
             request[1].value = old
             rebuilt.add(p)
-        del log[slots:]
         self.memory.steps = slots  # one access per slot
-        del self.schedule[slots:]
-        if self.trace is not None:
-            del self.trace[slots:]
+        del self.schedule[slots:], self.trace[slots:]
         events = self.events
         while events and events[-1][4] > slots:  # emitted by a slot after the state
             if events.pop()[0] == "respond":
                 self.ops_completed -= 1
         for p in rebuilt:
             self._rebuild(p)
-        captures = self._captures
-        # in arming order, which is the order of the armed operations' invocations
-        self.active[:] = sorted(rebuilt.union(self.active), key=lambda q: captures[q][-1][0])
+        # in arming order: by the slot that armed each, and only start-up
+        # captures share one (0), taken in pid order
+        self.active[:] = sorted(rebuilt.union(self.active),
+                                key=lambda q: (self._captures[q][-1][1], q))
 
     def _rebuild(self, p: int) -> None:
-        captures, recorded = self._captures[p], len(self.events)
-        while captures[-1][0] >= recorded:  # an operation invoked after the state
+        captures, slots = self._captures[p], len(self.trace)
+        while captures[-1][1] > slots:  # armed by a cut slot: slot s arms with s + 1
             captures.pop()
-        _, invoked, first_slot, state = captures[-1]
+        invoked, first_slot, state = captures[-1]
         instance = self.instance
         if state is not None:
             vars(getattr(instance, instance.process_state)[p]).update(state)
@@ -664,7 +664,7 @@ class _Restorable(Runner):
                 break
         self._ops[p] = ops
         steps = 0
-        for q, sent, old in self._log[first_slot:]:
+        for q, sent, old in self.trace[first_slot:]:
             if q == p:
                 request = gen.send(None if sent[0] == "write" else old)
                 steps += 1
@@ -698,6 +698,14 @@ def _effect(request: tuple) -> str:
     if primitive == "write" and request[2] == value or primitive == "tas" and value == 1:
         return "read"
     return primitive
+
+
+def _slot(runner: Runner, pid: int) -> tuple:
+    """Run pid's armed access as the next slot; its record ``(pid, oid, effect, emitted)``."""
+    request = runner._armed[pid][2]
+    # _effect runs first, before the step can change the cell; only a slot
+    # that completes an operation emits history events
+    return pid, request[1].oid, _effect(request), runner.step(pid)
 
 
 def _dependent(a: tuple, b: tuple) -> bool:
@@ -793,10 +801,7 @@ def _source_dpor(factory, workload) -> Iterator[RunResult]:
                     break
                 pid = min(awake)
                 node = _Node(pid, sleep)
-            request = runner._armed[pid][2]
-            effect = _effect(request)  # before the step can change the cell
-            # only a slot that completes an operation emits history events
-            slot = node.slot = (pid, request[1].oid, effect, runner.step(pid))
+            slot = node.slot = _slot(runner, pid)
             path.append(node)
             if node.sleep:
                 sleep = {q: s for q, s in node.sleep.items() if not _dependent(slot, s)}

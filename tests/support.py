@@ -6,7 +6,7 @@ import json
 import random
 
 from relaxobj import bench
-from relaxobj.shmem import History, Memory, Runner, drive, seeded
+from relaxobj.shmem import History, Memory, Runner, RunResult, drive, seeded
 
 
 class SpinInstance:
@@ -48,15 +48,15 @@ def sequential(config: bench.BenchConfig):
             for pid, ops in enumerate(bench._workload(config))]
 
 
-def traced(factory, workload, seed: int) -> Runner:
-    """The finished runner of ``run(factory, workload, seeded(seed), record_trace=True)``.
+def traced(factory, workload, seed: int) -> RunResult:
+    """The trace and instance of ``run(factory, workload, seeded(seed), record_trace=True)``.
 
-    It records no history; the picks are the same, as ``seeded`` reads only
-    ``runner.active``.
+    The run records no history; the picks are the same, as ``seeded`` reads
+    only ``runner.active``.
     """
     runner = Runner(factory, workload, record_history=False, record_trace=True)
     runner.advance(seeded(seed)(runner))
-    return runner
+    return runner.result()
 
 
 def set_indexes(counter) -> list[int]:

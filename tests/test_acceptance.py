@@ -303,7 +303,8 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
             slots += 1
             assert slots < 64, "reader failed to terminate via helping"
 
-        history = runner.result().history
+        result = runner.result()
+        history = result.history
         reads = [e for e in history if e.kind == "respond" and e.op == "read"]
         assert len(reads) == 1
         respond_step = reads[0].step
@@ -312,7 +313,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
 
         # trace: the read returned via helping (final access is a pair read
         # of the announce array, not a ladder bit)
-        reader_steps = [t for t in runner.trace if t[1] == 0]
+        reader_steps = [t for t in result.trace if t[1] == 0]
         announce_of = counter.announce_oid_to_proc()
         final = reader_steps[-1]
         assert final[3] == "read" and announce_of.get(final[2]) == 1
@@ -329,7 +330,7 @@ def test_criterion_08_counter_wait_freedom_under_starvation():
                          + [("announce", 0), ("announce", 1)])
         # and the rescuing process claimed >= 2 bits after the snapshot,
         # within the read's invocation..response window
-        claims = [t for t in runner.trace
+        claims = [t for t in result.trace
                   if t[1] == 1 and t[3] == "tas" and t[5] == 0
                   and snapshot_step <= t[0] < respond_step]
         assert len(claims) >= 2
@@ -345,12 +346,12 @@ def test_criterion_09_prefix_invariant():
             for seed in range(runs_per_config):
                 rng = random.Random(seed * 4 + n * 1_000_003 + k)
                 workload = random_counter_workload(rng, n, 3 * n)
-                runner = traced(factory, workload, rng.randrange(2**62))
-                counter = runner.instance
+                result = traced(factory, workload, rng.randrange(2**62))
+                counter = result.instance
                 # bits are claimed in index order: after every step the set
                 # bits form the contiguous prefix 0..h, on the ladder and
                 # among the unit bits alike
-                claimed = [t[2] for t in runner.trace if t[3] == "tas" and t[5] == 0]
+                claimed = [t[2] for t in result.trace if t[3] == "tas" and t[5] == 0]
                 for index_of in (oid_to_index(counter.switches.items()),
                                  oid_to_index(enumerate(counter.units))):
                     wins = [index_of[oid] for oid in claimed if oid in index_of]

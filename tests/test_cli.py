@@ -278,6 +278,15 @@ def test_process_cap_usage_error(argv, capsys):
     assert peak < 2**20  # rejected before any per-process list is built
 
 
+@pytest.mark.parametrize("command", ["check", "trace"])
+@pytest.mark.parametrize("n", [-3, 0])
+def test_process_count_below_one_usage_error(command, n, capsys):
+    argv = [command, "--object", "counter", "--n", str(n), "--ops", "p0:inc"]
+    code = main(argv + (["--random", "1"] if command == "check" else []))
+    assert code == 2
+    assert f"n must be >= 1, not {n}" in capsys.readouterr().err
+
+
 def test_trace_counter_three_lines(tmp_path):
     out = tmp_path / "trace.txt"
     code = main(["trace", "--object", "counter", "--n", "1", "--k", "4",

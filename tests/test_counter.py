@@ -181,9 +181,9 @@ def test_prefix_invariant_random_runs():
         for seed in range(300):
             rng = random.Random(seed)
             workload = random_counter_workload(rng, n, 14)
-            runner = traced(factory, workload, rng.randrange(2**62))
-            counter = runner.instance
-            claimed = [t[2] for t in runner.trace if t[3] == "tas" and t[5] == 0]
+            result = traced(factory, workload, rng.randrange(2**62))
+            counter = result.instance
+            claimed = [t[2] for t in result.trace if t[3] == "tas" and t[5] == 0]
             for index_of in (oid_to_index(counter.switches.items()),
                              oid_to_index(enumerate(counter.units))):
                 wins = [index_of[oid] for oid in claimed if oid in index_of]

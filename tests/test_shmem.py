@@ -396,10 +396,8 @@ def test_happens_before_masks_are_the_closure_of_dependence(name):
     for leaf in enumerate_interleavings(factory, workload, reduction="dpor"):
         runner, path = Runner(factory, workload), []
         for pid in leaf.schedule:
-            request = runner._armed[pid][2]
             node = shmem._Node(pid, {})
-            effect = shmem._effect(request)  # before the step can change the cell
-            node.slot = (pid, request[1].oid, effect, runner.step(pid))
+            node.slot = shmem._slot(runner, pid)
             path.append(node)
         shmem._add_reversals(path, 0, shmem._Index())
         closure: list[int] = []
@@ -436,7 +434,7 @@ def _state(runner):
     """What a runner's future depends on, and what it has recorded, oids aside."""
     report = runner.report()
     trace = [(step, pid, primitive, arg, result)
-             for step, pid, _oid, primitive, arg, result in runner.trace or ()]
+             for step, pid, _oid, primitive, arg, result in runner.result().trace or ()]
     return (History(runner.events).to_json(), tuple(runner.schedule), report.per_op,
             report.histogram, report.total_steps, report.op_count, runner.ops_completed,
             list(runner.active), trace)
@@ -451,7 +449,7 @@ def _assert_report_counts_the_trace(factory, workload, result):
     """
     oracle = Runner(factory, workload, record_history=False, record_trace=True)
     oracle.advance(result.schedule)
-    report, expected = result.report, oracle.report()
+    report, expected, trace = result.report, oracle.report(), oracle.result().trace
     assert list(report.histogram.items()) == list(expected.histogram.items())
     assert (report.total_steps, report.op_count) == (expected.total_steps, expected.op_count)
     per_op: list[list[int]] = [[] for _ in workload]
@@ -461,10 +459,10 @@ def _assert_report_counts_the_trace(factory, workload, result):
             invoked[event.proc] = event.step
         else:
             start = invoked.pop(event.proc)
-            per_op[event.proc].append(sum(1 for t in oracle.trace
+            per_op[event.proc].append(sum(1 for t in trace
                                           if t[1] == event.proc and start <= t[0] < event.step))
     for p, start in invoked.items():
-        per_op[p].append(sum(1 for t in oracle.trace if t[1] == p and start <= t[0]))
+        per_op[p].append(sum(1 for t in trace if t[1] == p and start <= t[0]))
     assert report.per_op == per_op
 
 
@@ -520,7 +518,7 @@ def test_restored_runner_continues_as_a_fresh_run(name):
     for seed in range(6):
         fresh = run(factory, workload, seeded(seed), record_trace=True)
         schedule = fresh.schedule
-        runner = shmem._Restorable(factory, workload, record_trace=True)
+        runner = shmem._Restorable(factory, workload)
         for k in sorted({0, 1, len(schedule) // 3, len(schedule) // 2, len(schedule) - 1},
                         reverse=True):
             runner.advance(schedule[len(runner.schedule):k])
@@ -626,17 +624,21 @@ def test_distinct_histories_keeps_the_first_reduced_leaf_of_each_signature(case)
 @pytest.mark.parametrize("name", ORACLE_WORKLOADS)
 def test_reduced_leaves_stay_snapshots_after_the_explorer_moves_on(name):
     # the explorer restores one runner between leaves; a leaf kept past that
-    # must still hold the run its schedule replays, and the report it builds
-    # when first read must be that run's
+    # must still hold the run its schedule replays, and the report and trace
+    # rows it builds when first read must be that run's.  The rows' oids are
+    # set aside: a cell first allocated in an earlier execution keeps its
+    # explorer-memory oid
     obj, n, k, m, ops, leaves = ORACLE_WORKLOADS[name]
     factory, workload = bench.factory(obj, n, k, m), parse_workload(ops, n)
     kept = list(enumerate_interleavings(factory, workload, reduction="dpor"))
     assert len(kept) == leaves
     for leaf in kept:
-        fresh = run(factory, workload, leaf.schedule)
+        fresh = run(factory, workload, leaf.schedule, record_trace=True)
         assert leaf.schedule == fresh.schedule
         assert leaf.history.to_json() == fresh.history.to_json()
         assert leaf.report == fresh.report
+        assert ([row[:2] + row[3:] for row in leaf.trace]
+                == [row[:2] + row[3:] for row in fresh.trace])
 
 
 def test_dpor_reaches_three_process_counter():

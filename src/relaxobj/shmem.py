@@ -330,6 +330,9 @@ def _recorded_report(events: list[tuple], schedule: Iterable[int], n: int) -> St
 # ---------------------------------------------------------------------------
 
 
+_END = object()  # marks the end of the pids that Runner.advance reads
+
+
 class Runner:
     """Drives step machines: one base-object access per scheduled slot.
 
@@ -394,7 +397,14 @@ class Runner:
                 self.completed[0] = self.completed.get(0, 0) + done
 
     def step(self, p: int) -> bool:
-        """Run one slot for p (its armed access or a skip); True if it completed p's op."""
+        """Run one slot for p (its armed access or a skip); True if it completed p's op.
+
+        The one-slot entry for callers that choose each slot, such as the
+        explorers; it runs the slot exactly as :meth:`advance` does.  A pid
+        outside ``[0, n)`` raises ``ValueError`` before the slot runs.
+        """
+        if not 0 <= p < self.n:
+            raise _undeclared(p)
         if self.schedule is not None:
             self.schedule.append(p)
         armed = self._armed[p]
@@ -419,19 +429,72 @@ class Runner:
             return True
         return False
 
-    def advance(self, pids, until_ops: int | None = None) -> None:
-        """Run one slot per pid until ``ops_completed >= until_ops``.
+    def advance(self, pids: Iterable[int] | random.Random,
+                until_ops: int | None = None) -> None:
+        """Run one slot per pick until ``ops_completed >= until_ops``.
 
-        Stops at the slot that reaches the target, so an iterator of pids can
-        resume in a later call; a target already met runs no slot.
+        ``pids`` is an iterable of pids, each checked to lie in ``[0, n)``
+        before its slot runs, or a pick source, the ``random.Random`` that
+        :func:`seeded` gives: each pick is then drawn as
+        ``Random.choice(self.active)`` would draw it, and the picks end when
+        no process is armed.  Each slot runs here as :meth:`step` runs it,
+        without a call per slot.  Stops at the slot that reaches the
+        target, so a pid iterator or a pick source can resume in a later
+        call; a target already met runs no slot.
         """
         if until_ops is not None and self.ops_completed >= until_ops:
             return
-        step = self.step
-        for p in pids:
-            # only a slot that completes an operation moves ops_completed
-            if step(p) and until_ops is not None and self.ops_completed >= until_ops:
-                return
+        memory, armed_by, active = self.memory, self._armed, self.active
+        schedule, trace, events, completed = self.schedule, self.trace, self.events, self.completed
+        access, n, end = memory.access, self.n, _END
+        if isinstance(pids, random.Random):
+            getrandbits, pids = pids.getrandbits, None
+        else:
+            pids = iter(pids)
+        while True:
+            if pids is None:
+                # Random.choice's draw on CPython 3.10 to 3.13, without its
+                # two Python calls: k.bit_length() bits for k armed
+                # processes, drawn again while >= k
+                k = len(active)
+                if not k:
+                    return
+                bits = k.bit_length()
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                p = active[r]
+            else:
+                p = next(pids, end)
+                if p is end:
+                    return
+                if not 0 <= p < n:
+                    raise _undeclared(p)
+            # the slot, as step runs it
+            if schedule is not None:
+                schedule.append(p)
+            armed = armed_by[p]
+            if armed is None:
+                continue
+            gen, name, request, steps = armed
+            if trace is not None:
+                trace.append((p, request, request[1].value))
+            result = access(request)
+            steps += 1
+            try:
+                armed_by[p] = (gen, name, gen.send(result), steps)
+            except StopIteration as stop:
+                armed_by[p] = None
+                active.remove(p)
+                self.ops_completed += 1
+                if events is None:  # completed is kept exactly when events are not
+                    completed[steps] = completed.get(steps, 0) + 1
+                else:
+                    events.append(("respond", p, name, stop.value, memory.steps))
+                self._invoke_until_armed(p)
+                # only a slot that completes an operation moves ops_completed
+                if until_ops is not None and self.ops_completed >= until_ops:
+                    return
 
     def report(self) -> StepReport:
         """Step accounting so far; each in-flight operation counts its steps so far."""
@@ -454,25 +517,16 @@ class Runner:
 # ---------------------------------------------------------------------------
 
 
-def seeded(seed: int) -> Callable[[Runner], Iterator[int]]:
+def seeded(seed: int) -> Callable[[Runner], random.Random]:
     """A schedule of seeded random picks among the processes with an armed access.
 
-    Each pick is the one ``random.Random(seed).choice(runner.active)`` would
-    make.  It is drawn inline, as ``Random.choice`` draws it on CPython 3.10
-    to 3.13: ``getrandbits(n.bit_length())`` for n active processes, drawn
-    again while it is ``>= n``.  That saves the two Python calls per slot
-    that ``choice`` and its ``_randbelow`` make.
+    Given the runner, it returns the pick source ``random.Random(seed)``,
+    from which :meth:`Runner.advance` draws each pick inline: the one
+    ``random.Random(seed).choice(runner.active)`` would make, drawn as
+    ``Random.choice`` draws it on CPython 3.10 to 3.13.  The picks end when
+    no process is armed.
     """
-    def slots(runner: Runner) -> Iterator[int]:
-        getrandbits = random.Random(seed).getrandbits
-        active = runner.active
-        while n := len(active):
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            yield active[r]
-    return slots
+    return lambda runner: random.Random(seed)
 
 
 class RunResult:
@@ -514,29 +568,29 @@ def run(factory: Callable[[Memory], Any], workload, schedule,
         *, record_trace: bool = False) -> RunResult:
     """Run a workload deterministically under a schedule.
 
-    ``factory`` builds the object under test against a fresh Memory, and
-    ``schedule`` is a function of the runner, such as :func:`seeded`
-    returns, or pids, one per slot.  Every pid is checked to be a declared
-    process: a pid list before any slot runs, a function's pid before its
-    slot runs.  Equal (workload, schedule) inputs yield identical histories,
-    reports and traces; the history is always recorded, and the result's
+    ``factory`` builds the object under test against a fresh Memory.
+    ``schedule`` is one of three kinds: pids, one per slot, all checked to
+    be declared processes before any slot runs; a function of the runner
+    that returns pids, each checked before its slot runs; or
+    :func:`seeded`, whose picks :meth:`Runner.advance` draws inline.
+    Equal (workload, schedule) inputs yield identical histories, reports
+    and traces; the history is always recorded, and the result's
     ``schedule`` replays it.  A finished process's slot is a recorded skip, not an error.
     """
     runner = Runner(factory, workload, record_trace=record_trace)
     if callable(schedule):
-        slots = _declared(schedule(runner), runner.n)
+        slots = schedule(runner)
     else:
-        slots = tuple(_declared(schedule, runner.n))  # a one-shot iterator is read once
+        slots = tuple(schedule)  # a one-shot iterator is read once
+        for p in slots:
+            if not 0 <= p < runner.n:
+                raise _undeclared(p)
     runner.advance(slots)
     return runner.result()
 
 
-def _declared(pids, n: int) -> Iterator[int]:
-    """The pids, each checked to lie in ``[0, n)`` as it is reached."""
-    for p in pids:
-        if not 0 <= p < n:
-            raise ValueError(f"schedule references undeclared process {p}")
-        yield p
+def _undeclared(p) -> ValueError:
+    return ValueError(f"schedule references undeclared process {p}")
 
 
 def enumerate_interleavings(factory: Callable[[Memory], Any], workload,

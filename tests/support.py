@@ -51,8 +51,8 @@ def sequential(config: bench.BenchConfig):
 def traced(factory, workload, seed: int) -> RunResult:
     """The trace and instance of ``run(factory, workload, seeded(seed), record_trace=True)``.
 
-    The run records no history; the picks are the same, as ``seeded`` reads
-    only ``runner.active``.
+    The run records no history; the picks are the same, as ``Runner.advance``
+    draws them from ``runner.active`` alone.
     """
     runner = Runner(factory, workload, record_history=False, record_trace=True)
     runner.advance(seeded(seed)(runner))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import threading
@@ -172,6 +173,24 @@ def test_pinned_outputs(measure, config, checkpoints, histogram):
             for c in report.checkpoints] == checkpoints
     if histogram is not None:
         assert report.histogram == histogram
+
+
+@pytest.mark.parametrize("measure,config,digest", [
+    (measure_worst_case,
+     BenchConfig(object="maxreg-exact", n=2, m=2**20, total_ops=10**4,
+                 read_fraction=0.5, seed=1), "26b1d962d9780e84"),
+    (measure_worst_case,
+     BenchConfig(object="maxreg-approx", n=3, k=2, m=10**5, total_ops=10**4,
+                 read_fraction=0.5, seed=2), "a89f8816c267b360"),
+    (measure_amortized,
+     BenchConfig(object="counter", n=16, k=4, total_ops=10**5, read_fraction=0.1, seed=1),
+     "145d6e2f79c4a4d6"),
+], ids=["maxreg-exact", "maxreg-approx", "counter"])
+def test_report_bytes_are_pinned(measure, config, digest):
+    # every byte of the JSON report: its checkpoints, histogram and echo, and
+    # so every seeded pick of the run
+    text = measure(config).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("measure,config", [

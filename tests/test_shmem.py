@@ -201,14 +201,14 @@ def test_seeded_picks_as_random_choice_does():
     # Random.choice is the reference for the inlined draw; the five spins end
     # at different times, so the active list takes every length from 5 to 1
     lengths = set()
+    workload = spin_workload(2, 4, 6, 9, 13)
     for seed in range(60):
-        runner = Runner(SpinInstance, spin_workload(2, 4, 6, 9, 13))
-        reference = random.Random(seed)
-        for p in seeded(seed)(runner):
+        runner, reference = Runner(SpinInstance, workload), random.Random(seed)
+        while runner.active:
             lengths.add(len(runner.active))
-            assert p == reference.choice(runner.active)
-            runner.step(p)
+            runner.step(reference.choice(runner.active))
         assert runner.memory.steps == 34
+        assert run(SpinInstance, workload, seeded(seed)).schedule == tuple(runner.schedule)
     assert lengths == {1, 2, 3, 4, 5}
 
 
@@ -497,16 +497,78 @@ def test_reduced_leaf_reports_count_the_trace_of_an_unrecorded_run(name):
     assert count == leaves
 
 
+# (spin counts per process, pids): pids drawn without regard to who is
+# armed, so slots of finished processes are skips, and spins of 0 complete
+# at their invocation
+_spin_pid_lists = (
+    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), min_size=1, max_size=3)
+    .flatmap(lambda spins: st.tuples(
+        st.just(spins), st.lists(st.integers(0, len(spins) - 1), max_size=24))))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=3), min_size=1, max_size=3)
-       .flatmap(lambda spins: st.tuples(
-           st.just(spins), st.lists(st.integers(0, len(spins) - 1), max_size=24))))
+@given(_spin_pid_lists)
 def test_recorded_report_counts_the_trace_on_random_pid_lists(case):
-    # pids drawn without regard to who is armed: slots of finished processes
-    # are skips, and spins of 0 complete at their invocation
     spins, pids = case
     workload = [[("spin", (c,)) for c in counts] for counts in spins]
     _assert_report_counts_the_trace(SpinInstance, workload, run(SpinInstance, workload, pids))
+
+
+_RECORDING = {"recorded": {}, "unrecorded": {"record_history": False},
+              "traced": {"record_trace": True},
+              "unrecorded traced": {"record_history": False, "record_trace": True}}
+
+
+def _slot_state(runner):
+    """Everything a runner records, and every cell's value."""
+    return (runner.events, runner.schedule, runner.result().trace, runner.completed,
+            runner.ops_completed, runner.report(), list(runner.active),
+            [cell.value for cell in runner.memory.cells])
+
+
+def _assert_advance_agrees_with_step(factory, workload, schedule, pids, targets, record):
+    """``Runner.advance`` over ``schedule``, one call per target, against ``Runner.step``.
+
+    ``schedule`` is a pid iterable or :func:`seeded`, and ``pids`` the pids
+    of its slots.  After each call the oracle steps through ``pids`` one
+    slot at a time until it meets the same target, as ``advance`` must:
+    stopping at the slot that reaches it, and running none if it is met.
+    """
+    runner, oracle = Runner(factory, workload, **record), Runner(factory, workload, **record)
+    picks = schedule(runner) if callable(schedule) else iter(schedule)
+    slots = iter(pids)
+    for target in targets:
+        runner.advance(picks, until_ops=target)
+        if target is None or oracle.ops_completed < target:
+            for p in slots:
+                if oracle.step(p) and target is not None and oracle.ops_completed >= target:
+                    break
+        assert _slot_state(runner) == _slot_state(oracle), target
+
+
+@pytest.mark.parametrize("record", _RECORDING)
+@pytest.mark.parametrize("name", _REPORT_CASES)
+def test_advance_runs_each_slot_as_step_does(name, record):
+    # a seeded case runs through its pick source and through its pids; every
+    # target from 0 past the workload's end is met in turn, and a slot that
+    # completes an operation before access-free ones (a private increment,
+    # a spin of 0) crosses several of them at once
+    factory, workload, schedule = _REPORT_CASES[name]
+    pids = run(factory, workload, schedule).schedule
+    for source in [pids, schedule] if callable(schedule) else [pids]:
+        for targets in [None], [*range(sum(map(len, workload)) + 2), None]:
+            _assert_advance_agrees_with_step(factory, workload, source, pids, targets,
+                                             _RECORDING[record])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spin_pid_lists, st.lists(st.integers(0, 8), max_size=3))
+def test_advance_runs_each_slot_as_step_does_on_random_pid_lists(case, targets):
+    spins, pids = case
+    workload = [[("spin", (c,)) for c in counts] for counts in spins]
+    for record in _RECORDING.values():
+        _assert_advance_agrees_with_step(SpinInstance, workload, pids, pids, [*targets, None],
+                                         record)
 
 
 @pytest.mark.parametrize("name", _RESTORE_CASES)
@@ -779,6 +841,22 @@ def test_history_alternates_invoke_respond_per_process():
             state[e.proc] = "closed"
 
 
+def _assert_runner_rejects(p, pids):
+    """``Runner.advance(pids)`` and ``Runner.step(p)`` reject p before its slot runs.
+
+    Every process is armed with a write, so a slot run for the wrong
+    process would change a cell.
+    """
+    factory = bench.factory("maxreg-exact", 2, 1, 8)
+    for slot in (lambda runner: runner.advance(pids), lambda runner: runner.step(p)):
+        runner = Runner(factory, [[("write", (7,))], [("write", (7,))]])
+        cells = [cell.value for cell in runner.memory.cells]
+        with pytest.raises(ValueError, match=f"undeclared process {p}$"):
+            slot(runner)
+        assert runner.memory.steps == 0 and runner.schedule == []
+        assert [cell.value for cell in runner.memory.cells] == cells
+
+
 @pytest.mark.parametrize("pids", [[0, 3], [-1]], ids=["above-n", "negative"])
 def test_run_rejects_undeclared_process(pids):
     memories = []
@@ -790,6 +868,7 @@ def test_run_rejects_undeclared_process(pids):
     with pytest.raises(ValueError, match="undeclared process"):
         run(factory, spin_workload(1), pids)
     assert [mem.steps for mem in memories] == [0]  # no slot ran, not even the valid one
+    _assert_runner_rejects(pids[-1], [pids[-1]])
 
 
 @pytest.mark.parametrize("pids, steps", [([-1], 0), ([0, 3], 1)],
@@ -804,3 +883,4 @@ def test_schedule_function_rejects_undeclared_process(pids, steps):
     with pytest.raises(ValueError, match="undeclared process"):
         run(factory, spin_workload(1, 1), lambda runner: iter(pids))
     assert [mem.steps for mem in memories] == [steps]  # the bad pid's slot never ran
+    _assert_runner_rejects(pids[-1], iter([pids[-1]]))
